@@ -1,8 +1,7 @@
 // bench_simd: per-backend SIMD A/B driver. Renders every scene with every
-// compiled backend in exact and fast-exp mode, verifies exact-mode
-// bit-identity against the scalar backend, and writes BENCH_simd.json —
-// the per-backend trajectory CI archives so speedups (and the bit-identity
-// invariant) stay inspectable from any PR.
+// compiled backend, verifies bit-identity against the scalar backend, and
+// writes BENCH_simd.json — the per-backend trajectory CI archives so
+// speedups (and the bit-identity invariant) stay inspectable from any PR.
 //
 // Like run_all, this only needs the project libraries (no Google Benchmark),
 // so it always builds.
@@ -26,6 +25,7 @@ namespace {
 using namespace gstg;
 using benchutil::JsonWriter;
 using benchutil::cached_scene;
+using benchutil::images_bit_identical;
 using benchutil::split_csv;
 
 RenderResult best_of(int repeat, const Scene& scene, const GsTgConfig& config) {
@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
 
       GsTgConfig scalar_config;
       scalar_config.threads = threads;
-      scalar_config.simd = SimdPolicy{SimdBackend::kScalar, ExpMode::kExact};
-      const RenderResult scalar_exact = best_of(repeat, scene, scalar_config);
+      scalar_config.simd = SimdPolicy{SimdBackend::kScalar};
+      const RenderResult scalar = best_of(repeat, scene, scalar_config);
 
       json.open_object();
       json.value("scene", name);
@@ -84,51 +84,36 @@ int main(int argc, char** argv) {
       for (const SimdBackend backend : backends) {
         GsTgConfig config;
         config.threads = threads;
-        config.simd = SimdPolicy{backend, ExpMode::kExact};
-        // The scalar/exact reference render doubles as that backend's sample.
-        const RenderResult exact =
-            backend == SimdBackend::kScalar ? scalar_exact : best_of(repeat, scene, config);
-        config.simd.exp_mode = ExpMode::kFast;
-        const RenderResult fast = best_of(repeat, scene, config);
+        config.simd = SimdPolicy{backend};
+        // The scalar reference render doubles as that backend's sample.
+        const RenderResult got =
+            backend == SimdBackend::kScalar ? scalar : best_of(repeat, scene, config);
 
-        const bool identical = max_abs_diff(scalar_exact.image, exact.image) == 0.0f;
+        const bool identical = images_bit_identical(scalar.image, got.image);
         if (!identical) {
           identity_ok = false;
-          std::fprintf(stderr, "bench_simd: EXACT-MODE MISMATCH on %s (backend %s)\n",
+          std::fprintf(stderr, "bench_simd: MISMATCH vs scalar on %s (backend %s)\n",
                        name.c_str(), to_string(backend));
         }
-        const double raster_speedup = exact.times.raster_ms > 0.0
-                                          ? scalar_exact.times.raster_ms / exact.times.raster_ms
-                                          : 0.0;
-        const double fast_speedup = fast.times.raster_ms > 0.0
-                                        ? scalar_exact.times.raster_ms / fast.times.raster_ms
-                                        : 0.0;
-        const double pre_speedup =
-            exact.times.preprocess_ms > 0.0
-                ? scalar_exact.times.preprocess_ms / exact.times.preprocess_ms
-                : 0.0;
-        std::printf(
-            "  %-6s exact: pre %7.2fms raster %7.2fms (%.2fx / %.2fx) | fast raster %7.2fms "
-            "(%.2fx) %s\n",
-            to_string(backend), exact.times.preprocess_ms, exact.times.raster_ms, pre_speedup,
-            raster_speedup, fast.times.raster_ms, fast_speedup,
-            identical ? "bit-identical" : "MISMATCH");
+        const double raster_speedup =
+            got.times.raster_ms > 0.0 ? scalar.times.raster_ms / got.times.raster_ms : 0.0;
+        const double pre_speedup = got.times.preprocess_ms > 0.0
+                                       ? scalar.times.preprocess_ms / got.times.preprocess_ms
+                                       : 0.0;
+        std::printf("  %-6s pre %7.2fms raster %7.2fms (%.2fx / %.2fx) %s\n",
+                    to_string(backend), got.times.preprocess_ms, got.times.raster_ms,
+                    pre_speedup, raster_speedup, identical ? "bit-identical" : "MISMATCH");
 
         json.open_object();
         json.value("backend", to_string(backend));
         json.value("lane_width", simd_kernels(backend).lane_width);
-        json.value("exact_preprocess_ms", exact.times.preprocess_ms);
-        json.value("exact_sort_ms", exact.times.sort_ms);
-        json.value("exact_raster_ms", exact.times.raster_ms);
-        json.value("exact_total_ms", exact.times.total_ms());
+        json.value("exact_preprocess_ms", got.times.preprocess_ms);
+        json.value("exact_sort_ms", got.times.sort_ms);
+        json.value("exact_raster_ms", got.times.raster_ms);
+        json.value("exact_total_ms", got.times.total_ms());
         json.value_bool("exact_identical_to_scalar", identical);
         json.value("exact_raster_speedup_vs_scalar", raster_speedup);
         json.value("exact_preprocess_speedup_vs_scalar", pre_speedup);
-        json.value("fast_preprocess_ms", fast.times.preprocess_ms);
-        json.value("fast_raster_ms", fast.times.raster_ms);
-        json.value("fast_raster_speedup_vs_scalar", fast_speedup);
-        json.value("fast_max_abs_diff",
-                   static_cast<double>(max_abs_diff(scalar_exact.image, fast.image)));
         json.close_object();
       }
       json.close_array();
@@ -139,8 +124,8 @@ int main(int argc, char** argv) {
     json.close_object();
     json.finish();
     std::printf("bench_simd: wrote %s/BENCH_simd.json\n", out_dir.c_str());
-    // An exact-mode divergence is a correctness regression: fail the driver
-    // so CI's bench step goes red.
+    // A backend diverging from scalar is a correctness regression: fail the
+    // driver so CI's bench step goes red.
     return identity_ok ? 0 : 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_simd: %s\n", e.what());

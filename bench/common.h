@@ -15,6 +15,7 @@
 #endif
 
 #include "common/runconfig.h"
+#include "render/framebuffer.h"
 #include "scene/scene.h"
 
 namespace gstg::benchutil {
@@ -96,6 +97,13 @@ inline void print_scale_banner(const char* what) {
   std::printf("# %s | scale: resolution /%d, Gaussians /%d%s (set GSTG_SCALE=full for paper scale)\n",
               what, scale.resolution_divisor, scale.gaussian_divisor,
               scale.is_full() ? " [paper scale]" : "");
+}
+
+/// Bitwise framebuffer equality (memcmp over the pixels, so -0/+0 and NaN
+/// payloads count as differences — the SIMD backends' contract is bits).
+inline bool images_bit_identical(const Framebuffer& a, const Framebuffer& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.pixels().data(), b.pixels().data(), a.pixels().size() * sizeof(Vec3)) == 0;
 }
 
 }  // namespace gstg::benchutil

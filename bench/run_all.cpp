@@ -327,80 +327,61 @@ bool run_software(const std::vector<std::string>& scenes, int repeat, std::size_
       json.close_object();
     }
 
-    // SIMD backend A/B: every compiled backend renders the GS-TG pipeline in
-    // exact and fast-exp mode. Exact mode must be bit-identical to the
-    // scalar backend (part of the correctness gate); the widest-vs-scalar
-    // rasterize-stage ratio is this PR's acceptance speedup.
+    // SIMD backend A/B: every compiled backend renders the GS-TG pipeline,
+    // and each image must be bit-identical to the scalar backend's (part of
+    // the correctness gate); the widest-vs-scalar stage ratios are recorded.
     {
       GsTgConfig scalar_config;
       scalar_config.threads = threads;
-      scalar_config.simd = SimdPolicy{SimdBackend::kScalar, ExpMode::kExact};
-      const RenderResult scalar_exact = best_of(repeat, [&] {
+      scalar_config.simd = SimdPolicy{SimdBackend::kScalar};
+      const RenderResult scalar = best_of(repeat, [&] {
         return render_gstg(scene.cloud, scene.camera, scalar_config);
       });
 
       json.open_object("simd");
       json.value("widest", to_string(widest_verified_backend()));
-      double widest_exact_raster = scalar_exact.times.raster_ms;
-      double widest_exact_pre = scalar_exact.times.preprocess_ms;
-      double widest_fast_raster = scalar_exact.times.raster_ms;
+      double widest_raster = scalar.times.raster_ms;
+      double widest_pre = scalar.times.preprocess_ms;
       json.open_array("backends");
       for (const SimdBackend backend : available_simd_backends()) {
         GsTgConfig config;
         config.threads = threads;
-        config.simd = SimdPolicy{backend, ExpMode::kExact};
-        // The scalar/exact reference render doubles as that backend's sample.
-        const RenderResult exact = backend == SimdBackend::kScalar
-                                       ? scalar_exact
-                                       : best_of(repeat, [&] {
-                                           return render_gstg(scene.cloud, scene.camera, config);
-                                         });
-        config.simd.exp_mode = ExpMode::kFast;
-        const RenderResult fast = best_of(repeat, [&] {
-          return render_gstg(scene.cloud, scene.camera, config);
-        });
+        config.simd = SimdPolicy{backend};
+        // The scalar reference render doubles as that backend's sample.
+        const RenderResult got = backend == SimdBackend::kScalar
+                                     ? scalar
+                                     : best_of(repeat, [&] {
+                                         return render_gstg(scene.cloud, scene.camera, config);
+                                       });
 
-        const bool identical = max_abs_diff(scalar_exact.image, exact.image) == 0.0f;
+        const bool identical = benchutil::images_bit_identical(scalar.image, got.image);
         if (!identical) {
           lossless_ok = false;
-          std::fprintf(stderr, "run_all: SIMD EXACT-MODE MISMATCH on %s (backend %s)\n",
+          std::fprintf(stderr, "run_all: SIMD MISMATCH vs scalar on %s (backend %s)\n",
                        name.c_str(), to_string(backend));
         }
         if (backend == widest_verified_backend()) {
-          widest_exact_raster = exact.times.raster_ms;
-          widest_exact_pre = exact.times.preprocess_ms;
-          widest_fast_raster = fast.times.raster_ms;
+          widest_raster = got.times.raster_ms;
+          widest_pre = got.times.preprocess_ms;
         }
 
         json.open_object();
         json.value("backend", to_string(backend));
         json.value("lane_width", simd_kernels(backend).lane_width);
-        json.value("exact_preprocess_ms", exact.times.preprocess_ms);
-        json.value("exact_raster_ms", exact.times.raster_ms);
+        json.value("exact_preprocess_ms", got.times.preprocess_ms);
+        json.value("exact_raster_ms", got.times.raster_ms);
         json.value_bool("exact_identical_to_scalar", identical);
-        json.value("fast_preprocess_ms", fast.times.preprocess_ms);
-        json.value("fast_raster_ms", fast.times.raster_ms);
-        json.value("fast_max_abs_diff",
-                   static_cast<double>(max_abs_diff(scalar_exact.image, fast.image)));
         json.close_object();
       }
       json.close_array();
       json.value("speedup_raster_exact_widest_vs_scalar",
-                 widest_exact_raster > 0.0 ? scalar_exact.times.raster_ms / widest_exact_raster
-                                           : 0.0);
-      json.value("speedup_raster_fast_widest_vs_scalar",
-                 widest_fast_raster > 0.0 ? scalar_exact.times.raster_ms / widest_fast_raster
-                                          : 0.0);
+                 widest_raster > 0.0 ? scalar.times.raster_ms / widest_raster : 0.0);
       json.value("speedup_preprocess_exact_widest_vs_scalar",
-                 widest_exact_pre > 0.0
-                     ? scalar_exact.times.preprocess_ms / widest_exact_pre
-                     : 0.0);
+                 widest_pre > 0.0 ? scalar.times.preprocess_ms / widest_pre : 0.0);
       json.close_object();
-      std::printf(
-          "run_all: %s simd widest=%s raster speedup exact %.2fx fast %.2fx\n", name.c_str(),
-          to_string(widest_verified_backend()),
-          widest_exact_raster > 0.0 ? scalar_exact.times.raster_ms / widest_exact_raster : 0.0,
-          widest_fast_raster > 0.0 ? scalar_exact.times.raster_ms / widest_fast_raster : 0.0);
+      std::printf("run_all: %s simd widest=%s raster speedup %.2fx\n", name.c_str(),
+                  to_string(widest_verified_backend()),
+                  widest_raster > 0.0 ? scalar.times.raster_ms / widest_raster : 0.0);
     }
     json.close_object();
   }

@@ -15,7 +15,8 @@ What is compared, and why:
     reduction must not silently erode.
   * Correctness flags (lossless_max_abs_diff == 0,
     batch.identical_to_sequential, every simd backend's
-    exact_identical_to_scalar) — these are hard failures regardless of
+    exact_identical_to_scalar, i.e. that backend's image is bit-identical
+    to the scalar backend's) — these are hard failures regardless of
     tolerance.
 
   * Temporal reuse ratios (--temporal/--temporal-baseline pair of
@@ -664,7 +665,7 @@ def main(argv):
             gate.require(
                 f"{name}.simd.{backend.get('backend')}",
                 backend.get("exact_identical_to_scalar") in (True, "true"),
-                "exact-mode framebuffer diverged from the scalar backend",
+                "framebuffer is not bit-identical to the scalar backend's",
             )
 
     if temporal_fresh_path is not None:

@@ -274,7 +274,13 @@ class CheckBenchTest(unittest.TestCase):
     def test_simd_backend_divergence_fails(self):
         fresh = software_doc()
         fresh["scenes"][0]["simd"]["backends"][1]["exact_identical_to_scalar"] = False
-        self.assert_fails(self.run_gate(fresh, software_doc()), "simd.avx2")
+        self.assert_fails(self.run_gate(fresh, software_doc()), "simd.avx2",
+                          "not bit-identical to the scalar backend")
+
+    def test_missing_simd_section_fails(self):
+        fresh = software_doc()
+        del fresh["scenes"][0]["simd"]
+        self.assert_fails(self.run_gate(fresh, software_doc()), "simd section missing")
 
     def test_residency_divergence_fails(self):
         fresh = software_doc()

@@ -13,8 +13,10 @@
 // with that backend's target flags and with floating-point contraction
 // disabled, so the bit pattern of every result is identical across backends
 // and identical to the scalar reference. That invariant is what lets
-// SimdBackend be a pure performance knob: exact-mode framebuffers are
-// bit-identical whichever backend executes (tests/common/test_simd.cpp).
+// SimdBackend be a pure performance knob: framebuffers are bit-identical
+// whichever backend executes (tests/common/test_simd.cpp). The blending
+// exponential is part of the same op sequence — fast_exp() below, never a
+// per-lane libm call — so it inherits the invariant by construction.
 //
 // Everything here is ODR-safe by construction: all functions are
 // force-inlined so no out-of-line copy compiled with a wider instruction set
@@ -50,20 +52,11 @@ enum class SimdBackend : std::uint8_t {
   kNeon,
 };
 
-/// Exponential evaluation mode of the rasterization kernels. kExact defers
-/// to std::exp (one call per surviving lane) and preserves the lossless
-/// bit-identity invariant; kFast uses the vectorized polynomial fast_exp()
-/// below (bounded-ULP approximation, see its contract).
-enum class ExpMode : std::uint8_t {
-  kExact = 0,
-  kFast,
-};
-
 /// The SIMD knob threaded through RenderConfig / GsTgConfig: which kernel
-/// backend to run and how to evaluate the blending exponential.
+/// backend to run. A pure performance choice — every backend produces the
+/// same bits.
 struct SimdPolicy {
   SimdBackend backend = SimdBackend::kAuto;
-  ExpMode exp_mode = ExpMode::kExact;
 
   constexpr bool operator==(const SimdPolicy&) const = default;
 };
@@ -513,6 +506,12 @@ GSTG_SIMD_INLINE std::int64_t hsum(VecI32<N> x) {
 /// Vectorized single-precision exponential (Cephes-style range reduction +
 /// degree-5 polynomial, 2^n scaling through exponent-field assembly).
 ///
+/// The one exponential of the rasterization kernels (exact and sortless, on
+/// every backend): alpha = sigma * fast_exp(-q / 2). Pixel values therefore
+/// differ from a libm-based blend by the bound below, while every backend —
+/// and the baseline and GS-TG pipelines, which share the kernel — agrees
+/// bit-for-bit.
+///
 /// Contract (verified empirically in tests/common/test_simd.cpp over a dense
 /// sample of the full input range):
 ///   - valid for all finite inputs; the argument is clamped to
@@ -526,8 +525,6 @@ GSTG_SIMD_INLINE std::int64_t hsum(VecI32<N> x) {
 ///     propagating — keeps the exponent assembly below free of undefined
 ///     float->int casts. Only discarded (masked-out) lanes ever carry NaN in
 ///     the kernels.
-/// fast_exp is only reachable through ExpMode::kFast — the default kExact
-/// path calls std::exp and stays bit-identical to the scalar renderer.
 template <int N>
 GSTG_SIMD_INLINE VecF32<N> fast_exp(VecF32<N> x) {
   const VecF32<N> lo = VecF32<N>::broadcast(-87.336544f);

@@ -72,7 +72,9 @@ void generate_bitmasks_into(std::span<const ProjectedSplat> splats,
           }
         } else {
           const Ellipse footprint = s.footprint();
-          const Obb obb = Obb::from_ellipse(footprint);
+          // The OBB costs an eigen decomposition; only kObb reads it.
+          const Obb obb = config.mask_boundary == Boundary::kObb ? Obb::from_ellipse(footprint)
+                                                                 : Obb{};
           for (int ty = y0; ty < y1; ++ty) {
             for (int tx = x0; tx < x1; ++tx) {
               const Rect rect = tile_rect(tx, ty, tile_grid.cell_size, tile_grid.image_width,
@@ -172,7 +174,7 @@ namespace {
 /// bitmask AND-filter per tile, then `raster_tile(worker, filtered, x0, y0,
 /// x1, y1)` — the only stage the two paths differ in.
 template <typename TileFn>
-void rasterize_grouped_impl(const GroupedFrame& frame, Framebuffer& fb, std::size_t threads,
+void rasterize_grouped_impl(const GroupedFrame& frame, std::size_t threads,
                             RenderCounters& counters, RasterScratch* scratch,
                             TileFn&& raster_tile) {
   const CellGrid& tile_grid = frame.tile_grid;
@@ -245,9 +247,8 @@ void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat
                        RasterScratch* scratch) {
   // Backend resolution happens once per frame; every tile kernel call then
   // dispatches on a concrete backend (no env reads in the hot loop).
-  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend),
-                        frame.config.simd.exp_mode};
-  rasterize_grouped_impl(frame, fb, threads, counters, scratch,
+  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend)};
+  rasterize_grouped_impl(frame, threads, counters, scratch,
                          [&](RasterScratch::Worker& wk, std::span<const std::uint32_t> filtered,
                              int x0, int y0, int x1, int y1) {
                            return rasterize_tile(splats, filtered, x0, y0, x1, y1, fb, wk.tile,
@@ -259,9 +260,8 @@ void rasterize_grouped_sortless(const GroupedFrame& frame,
                                 std::span<const ProjectedSplat> splats, Framebuffer& fb,
                                 std::size_t threads, RenderCounters& counters,
                                 RasterScratch* scratch) {
-  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend),
-                        frame.config.simd.exp_mode};
-  rasterize_grouped_impl(frame, fb, threads, counters, scratch,
+  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend)};
+  rasterize_grouped_impl(frame, threads, counters, scratch,
                          [&](RasterScratch::Worker& wk, std::span<const std::uint32_t> filtered,
                              int x0, int y0, int x1, int y1) {
                            return rasterize_tile_sortless(splats, filtered, x0, y0, x1, y1, fb,

@@ -53,7 +53,8 @@ bool splats_identical(const ProjectedSplat& a, const ProjectedSplat& b) {
          bits_equal(a.conic.xy, b.conic.xy) && bits_equal(a.conic.yy, b.conic.yy) &&
          bits_equal(a.depth, b.depth) && bits_equal(a.opacity, b.opacity) &&
          bits_equal(a.rgb.x, b.rgb.x) && bits_equal(a.rgb.y, b.rgb.y) &&
-         bits_equal(a.rgb.z, b.rgb.z) && bits_equal(a.rho, b.rho) && a.index == b.index;
+         bits_equal(a.rgb.z, b.rgb.z) && bits_equal(a.rho, b.rho) && a.index == b.index &&
+         bits_equal(a.q_max, b.q_max);
 }
 
 }  // namespace

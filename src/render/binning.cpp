@@ -177,7 +177,7 @@ std::size_t for_each_coarse_cell(const ProjectedSplat& splat, const TileRange& c
   }
   std::size_t tests = 0;
   const Ellipse footprint = splat.footprint();
-  const Obb obb = Obb::from_ellipse(footprint);
+  const Obb obb = boundary == Boundary::kObb ? Obb::from_ellipse(footprint) : Obb{};
   for (int cy = cr.ty0; cy < cr.ty1; ++cy) {
     for (int cx = cr.tx0; cx < cr.tx1; ++cx) {
       const Rect rect =
@@ -219,7 +219,7 @@ std::size_t expand_record(const ProjectedSplat& splat, const TileRange& fine_ran
   }
   std::size_t tests = 0;
   const Ellipse footprint = splat.footprint();
-  const Obb obb = Obb::from_ellipse(footprint);
+  const Obb obb = boundary == Boundary::kObb ? Obb::from_ellipse(footprint) : Obb{};
   for (int cy = y0; cy < y1; ++cy) {
     for (int cx = x0; cx < x1; ++cx) {
       const Rect rect = tile_rect(cx, cy, grid.cell_size, grid.image_width, grid.image_height);

@@ -198,7 +198,8 @@ std::size_t for_each_hit_cell(const ProjectedSplat& splat, const CellGrid& grid,
   }
 
   const Ellipse footprint = splat.footprint();
-  const Obb obb = Obb::from_ellipse(footprint);  // used by kObb only
+  // The OBB costs an eigen decomposition; only kObb reads it.
+  const Obb obb = boundary == Boundary::kObb ? Obb::from_ellipse(footprint) : Obb{};
   for (int cy = range.ty0; cy < range.ty1; ++cy) {
     for (int cx = range.tx0; cx < range.tx1; ++cx) {
       const Rect rect = tile_rect(cx, cy, grid.cell_size, grid.image_width, grid.image_height);

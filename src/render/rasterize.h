@@ -5,9 +5,10 @@
 //
 // The inner loop runs through the SIMD kernel table (render/simd_kernels.h):
 // a SimdPolicy selects the lane width (scalar / SSE4.2 / AVX2 / NEON, kAuto =
-// widest verified backend) and the exponential mode. Exact mode is
-// bit-identical across every backend; counters are exact under vectorization
-// in both modes.
+// widest verified backend). Every backend evaluates alpha = sigma *
+// fast_exp(-q / 2) with the same op sequence (common/simd.h), so images and
+// counters are bit-identical across backends. The footprint guard reads the
+// per-splat ProjectedSplat::q_max that preprocess computed.
 #pragma once
 
 #include <cstdint>

@@ -22,11 +22,11 @@ namespace gstg {
   namespace ns {                                                                             \
   TileRasterStats rasterize_tile_kernel(std::span<const ProjectedSplat>,                     \
                                         std::span<const std::uint32_t>, int, int, int, int,  \
-                                        Framebuffer&, TileRasterScratch&, ExpMode);          \
+                                        Framebuffer&, TileRasterScratch&);                   \
   TileRasterStats rasterize_tile_sortless_kernel(std::span<const ProjectedSplat>,            \
                                                  std::span<const std::uint32_t>, int, int,   \
                                                  int, int, Framebuffer&,                     \
-                                                 SortlessRasterScratch&, ExpMode);           \
+                                                 SortlessRasterScratch&);                    \
   void preprocess_chunk_kernel(const PreprocessChunkArgs&, std::size_t, std::size_t);        \
   }
 
@@ -84,13 +84,15 @@ ProjectedSplat probe_splat(Vec2 center, float sigma, float depth, float opacity,
   s.rgb = rgb;
   s.rho = kThreeSigmaRho;
   s.index = index;
+  s.q_max = alpha_cutoff_quad(opacity);
   return s;
 }
 
-/// Runs one 16x16 exact-mode tile through `k` and the scalar kernel and
-/// compares framebuffers (bitwise) and statistics. The splat set exercises
-/// every kernel path: blending, the in-range guard, the alpha threshold, the
-/// clamp, and the transmittance early exit with compaction.
+/// Runs one 16x16 tile through `k` and the scalar kernel and compares
+/// framebuffers (bitwise) and statistics. The splat set exercises every
+/// kernel path: blending with the fast_exp polynomial, the in-range guard,
+/// the alpha threshold, the clamp, and the transmittance early exit with
+/// compaction.
 bool probe_matches_scalar(const SimdKernels& k) {
   std::vector<ProjectedSplat> splats;
   splats.push_back(probe_splat({5.3f, 7.1f}, 2.0f, 1.0f, 0.8f, {0.9f, 0.2f, 0.1f}, 0));
@@ -107,10 +109,8 @@ bool probe_matches_scalar(const SimdKernels& k) {
   const SimdKernels& ref = simd_kernels(SimdBackend::kScalar);
   Framebuffer fa(16, 16), fb(16, 16);
   TileRasterScratch sa, sb;
-  const TileRasterStats ra =
-      ref.rasterize_tile(splats, order, 0, 0, 16, 16, fa, sa, ExpMode::kExact);
-  const TileRasterStats rb =
-      k.rasterize_tile(splats, order, 0, 0, 16, 16, fb, sb, ExpMode::kExact);
+  const TileRasterStats ra = ref.rasterize_tile(splats, order, 0, 0, 16, 16, fa, sa);
+  const TileRasterStats rb = k.rasterize_tile(splats, order, 0, 0, 16, 16, fb, sb);
 
   if (ra.alpha_computations != rb.alpha_computations || ra.blend_ops != rb.blend_ops ||
       ra.early_exit_pixels != rb.early_exit_pixels) {
@@ -128,10 +128,9 @@ bool probe_matches_scalar(const SimdKernels& k) {
   std::vector<std::uint32_t> reversed(order.rbegin(), order.rend());
   Framebuffer fsa(16, 16), fsb(16, 16);
   SortlessRasterScratch ssa, ssb;
-  const TileRasterStats sra =
-      ref.rasterize_tile_sortless(splats, order, 0, 0, 16, 16, fsa, ssa, ExpMode::kExact);
+  const TileRasterStats sra = ref.rasterize_tile_sortless(splats, order, 0, 0, 16, 16, fsa, ssa);
   const TileRasterStats srb =
-      k.rasterize_tile_sortless(splats, reversed, 0, 0, 16, 16, fsb, ssb, ExpMode::kExact);
+      k.rasterize_tile_sortless(splats, reversed, 0, 0, 16, 16, fsb, ssb);
   if (sra.alpha_computations != srb.alpha_computations || sra.blend_ops != srb.blend_ops ||
       srb.early_exit_pixels != 0) {
     return false;
@@ -174,7 +173,8 @@ bool probe_matches_scalar(const SimdKernels& k) {
     const ProjectedSplat& a = slots_a[i];
     const ProjectedSplat& b = slots_b[i];
     if (!(a.center == b.center && a.cov == b.cov && a.conic == b.conic && a.depth == b.depth &&
-          a.opacity == b.opacity && a.rgb == b.rgb && a.rho == b.rho && a.index == b.index)) {
+          a.opacity == b.opacity && a.rgb == b.rgb && a.rho == b.rho && a.index == b.index &&
+          a.q_max == b.q_max)) {
       return false;
     }
   }

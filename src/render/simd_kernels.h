@@ -3,8 +3,9 @@
 // preprocess. One kernel translation unit exists per backend
 // (simd_kernels_{scalar,sse4,avx2,neon}.cpp), each compiling the SAME
 // width-generic implementation (simd_kernels.inl) under that backend's
-// target flags with floating-point contraction disabled — so exact-mode
-// results are bit-identical across backends (see common/simd.h).
+// target flags with floating-point contraction disabled, and with the one
+// vectorized exponential fast_exp — so results are bit-identical across
+// backends (see common/simd.h).
 //
 // Dispatch is a function-pointer kernel table selected at runtime:
 //   resolve_simd_backend(kAuto)
@@ -49,16 +50,15 @@ struct SimdKernels {
   /// The rasterize_tile inner loop. Bounds must already be validated.
   TileRasterStats (*rasterize_tile)(std::span<const ProjectedSplat> splats,
                                     std::span<const std::uint32_t> order, int x0, int y0,
-                                    int x1, int y1, Framebuffer& fb, TileRasterScratch& scratch,
-                                    ExpMode exp_mode) = nullptr;
+                                    int x1, int y1, Framebuffer& fb,
+                                    TileRasterScratch& scratch) = nullptr;
 
   /// The sortless (order-independent transmittance) tile loop: `order` may
   /// be in any order; the output is bit-identical for every permutation.
   TileRasterStats (*rasterize_tile_sortless)(std::span<const ProjectedSplat> splats,
                                              std::span<const std::uint32_t> order, int x0,
                                              int y0, int x1, int y1, Framebuffer& fb,
-                                             SortlessRasterScratch& scratch,
-                                             ExpMode exp_mode) = nullptr;
+                                             SortlessRasterScratch& scratch) = nullptr;
 
   /// Projects and culls cloud Gaussians [lo, hi) into args.slots/args.keep.
   void (*preprocess_chunk)(const PreprocessChunkArgs& args, std::size_t lo,

@@ -3,6 +3,7 @@
 // back the paper's profiling figures.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -32,9 +33,9 @@ struct RenderConfig {
   /// Per-tile sort algorithm (kAuto = radix for long lists, comparison for
   /// short ones; every choice produces the identical ordering).
   SortAlgo sort_algo = SortAlgo::kAuto;
-  /// SIMD kernel policy for the preprocess/rasterize hot paths: backend
-  /// (kAuto = widest verified, overridable via GSTG_SIMD) and exponential
-  /// mode (kExact keeps bit-identity with the scalar path, the default).
+  /// SIMD kernel policy for the preprocess/rasterize hot paths: the backend
+  /// (kAuto = widest verified, overridable via GSTG_SIMD). Images and
+  /// counters are bit-identical whichever backend runs.
   SimdPolicy simd;
   /// Tile-identification strategy (render/binning.h; GSTG_BINNING
   /// overrides): flat single-level binning, the hierarchical coarse→fine
@@ -51,6 +52,13 @@ struct RenderConfig {
   std::size_t threads = 0;
 };
 
+/// Largest quad value q = d^T conic d at which alpha = sigma * exp(-q / 2)
+/// can still reach the 1/255 blend threshold: 2 ln(255 sigma). Non-positive
+/// (or NaN) for sigma <= 1/255, where no pixel can pass the guard.
+/// Force-inlined like the simd.h lane operations: the kernel TUs of every
+/// backend call it, so no out-of-line copy built for a wider ISA may exist.
+GSTG_SIMD_INLINE float alpha_cutoff_quad(float opacity) { return 2.0f * std::log(255.0f * opacity); }
+
 /// One culled, projected Gaussian ready for binning and rasterization.
 struct ProjectedSplat {
   Vec2 center;       ///< pixel-space mean (2D_XY)
@@ -61,6 +69,10 @@ struct ProjectedSplat {
   Vec3 rgb;          ///< view-dependent colour (G_RGB)
   float rho = 9.0f;  ///< footprint contour level
   std::uint32_t index = 0;  ///< original index in the cloud
+  /// alpha_cutoff_quad(opacity), computed once in preprocess: the raster
+  /// kernels' in-range guard 0 <= q <= q_max reads it per (tile, splat)
+  /// instead of re-evaluating the log.
+  float q_max = 0;
 
   [[nodiscard]] Ellipse footprint() const {
     Ellipse e;
@@ -71,6 +83,7 @@ struct ProjectedSplat {
     return e;
   }
 };
+static_assert(sizeof(ProjectedSplat) == 64, "ProjectedSplat is one 64-byte record");
 
 /// Wall-clock per-stage timings (milliseconds). The paper's three-stage
 /// split: preprocessing = feature computation + culling + tile (or group)

@@ -25,6 +25,7 @@ ProjectedSplat flat_splat(Vec2 center, float depth, float opacity, Vec3 rgb,
   s.rgb = rgb;
   s.rho = kThreeSigmaRho;
   s.index = index;
+  s.q_max = alpha_cutoff_quad(opacity);
   return s;
 }
 

@@ -38,7 +38,11 @@ input, under the right sanitizer (see docs/ARCHITECTURE.md, "Static analysis
                                rand()/srand() in src/service or the hot TUs
                                (src/render, src/core, common/parallel.h);
                                no std::function in the hot TUs (type-erased
-                               calls have no place in render kernels).
+                               calls have no place in render kernels) and
+                               no std::exp there either (the raster kernels'
+                               one exponential is the lane-generic fast_exp
+                               of common/simd.h; a per-lane libm call would
+                               leave the vector loop).
 
 Engines:
   * syntax (always available) — a self-contained C++ tokenizer/scanner; the
@@ -737,6 +741,7 @@ R5_COMMON = [
 ]
 R5_HOT_ONLY = [
     (re.compile(r"\bstd\s*::\s*function\b"), "std::function in a hot TU (type erasure allocates; use a template parameter)"),
+    (re.compile(r"\bstd\s*::\s*exp\s*\("), "std::exp in a hot TU (scalar libm per lane; use fast_exp from common/simd.h)"),
 ]
 
 
