@@ -53,16 +53,6 @@ What is compared, and why:
     hard failures. Load/encode/render wall-clocks are compared only under
     --check-times.
 
-  * Sortless-quality records (--quality/--quality-baseline pair of
-    BENCH_quality.json files): per scene, the sort pairs avoided and blend-op
-    counts are machine-independent and must stay within tolerance, and the
-    PSNR/SSIM of the sortless image against the exact one must not drift
-    (they are deterministic at a fixed scale). The fresh run's top-level and
-    per-scene quality_ok (committed PSNR/SSIM floor) and verify_ok (kVerify
-    bit-identical to pure kSortless) flags, and sortless sort_pairs == 0,
-    are hard failures. sort_ms_removed / raster_ms_* are compared only
-    under --check-times.
-
   * Telemetry records (--telemetry/--telemetry-baseline pair of
     BENCH_telemetry.json files): the recorded/exported event counts and the
     per-stage span counts of the fixed single-threaded run are
@@ -89,8 +79,6 @@ Usage:
                  [--binning-baseline=<baseline BENCH_binning.json>]
                  [--dataset=<fresh BENCH_dataset.json>]
                  [--dataset-baseline=<baseline BENCH_dataset.json>]
-                 [--quality=<fresh BENCH_quality.json>]
-                 [--quality-baseline=<baseline BENCH_quality.json>]
                  [--telemetry=<fresh BENCH_telemetry.json>]
                  [--telemetry-baseline=<baseline BENCH_telemetry.json>]
 
@@ -142,21 +130,6 @@ DATASET_TIME_KEYS = [
     "float32_render_ms",
     "compressed_render_ms",
     "decode_overhead",
-]
-
-QUALITY_COUNTER_KEYS = [
-    "visible_gaussians",
-    "sort_pairs_avoided",
-    "sort_comparison_volume_avoided",
-    "sortless_blend_ops",
-    "exact_blend_ops",
-]
-QUALITY_RATIO_KEYS = ["psnr", "ssim"]
-QUALITY_TIME_KEYS = [
-    "sort_ms_removed",
-    "raster_ms_exact",
-    "raster_ms_sortless",
-    "raster_ms_delta",
 ]
 
 TELEMETRY_COUNTER_KEYS = [
@@ -382,54 +355,6 @@ def compare_dataset(gate, fresh, baseline, check_times):
         )
 
 
-def compare_quality(gate, fresh, baseline, check_times):
-    """Gates a fresh BENCH_quality.json against the committed baseline."""
-    if fresh.get("scale", {}) != baseline.get("scale", {}):
-        gate.require(
-            "quality",
-            False,
-            f"scale mismatch (fresh {fresh.get('scale')} vs baseline {baseline.get('scale')})",
-        )
-        return
-    gate.require(
-        "quality",
-        fresh.get("quality_ok") in (True, "true"),
-        "a scene's sortless PSNR/SSIM fell below the committed floor",
-    )
-    gate.require(
-        "quality",
-        fresh.get("verify_ok") in (True, "true"),
-        "the kVerify pipeline diverged from pure kSortless",
-    )
-    fresh_scenes = {s["scene"]: s for s in fresh.get("scenes", [])}
-    for scene in baseline.get("scenes", []):
-        name = scene["scene"]
-        where = f"quality.{name}"
-        if name not in fresh_scenes:
-            gate.require(where, False, "scene missing from fresh output")
-            continue
-        new = fresh_scenes[name]
-        compare_section(gate, where, new, scene, QUALITY_COUNTER_KEYS)
-        compare_section(gate, where, new, scene, QUALITY_RATIO_KEYS)
-        if check_times:
-            compare_section(gate, where, new, scene, QUALITY_TIME_KEYS)
-        gate.require(
-            where,
-            new.get("sortless_sort_pairs", 1) == 0,
-            f"sortless run sorted {new.get('sortless_sort_pairs')} pairs (must be 0)",
-        )
-        gate.require(
-            where,
-            new.get("quality_ok") in (True, "true"),
-            "sortless PSNR/SSIM fell below this scene's committed floor",
-        )
-        gate.require(
-            where,
-            new.get("verify_ok") in (True, "true"),
-            "kVerify output or counters diverged from pure kSortless on this scene",
-        )
-
-
 def compare_telemetry(gate, fresh, baseline, check_times):
     """Gates a fresh BENCH_telemetry.json against the committed baseline."""
     if fresh.get("scale", {}) != baseline.get("scale", {}):
@@ -539,8 +464,6 @@ def main(argv):
     binning_baseline_path = None
     dataset_fresh_path = None
     dataset_baseline_path = None
-    quality_fresh_path = None
-    quality_baseline_path = None
     telemetry_fresh_path = None
     telemetry_baseline_path = None
     for opt in opts:
@@ -564,10 +487,6 @@ def main(argv):
             dataset_fresh_path = opt.split("=", 1)[1]
         elif opt.startswith("--dataset-baseline="):
             dataset_baseline_path = opt.split("=", 1)[1]
-        elif opt.startswith("--quality="):
-            quality_fresh_path = opt.split("=", 1)[1]
-        elif opt.startswith("--quality-baseline="):
-            quality_baseline_path = opt.split("=", 1)[1]
         elif opt.startswith("--telemetry-baseline="):
             telemetry_baseline_path = opt.split("=", 1)[1]
         elif opt.startswith("--telemetry="):
@@ -586,9 +505,6 @@ def main(argv):
         return 1
     if (dataset_fresh_path is None) != (dataset_baseline_path is None):
         print("check_bench: --dataset and --dataset-baseline must be given together")
-        return 1
-    if (quality_fresh_path is None) != (quality_baseline_path is None):
-        print("check_bench: --quality and --quality-baseline must be given together")
         return 1
     if (telemetry_fresh_path is None) != (telemetry_baseline_path is None):
         print("check_bench: --telemetry and --telemetry-baseline must be given together")
@@ -695,13 +611,6 @@ def main(argv):
         with open(dataset_baseline_path) as f:
             dataset_baseline = json.load(f)
         compare_dataset(gate, dataset_fresh, dataset_baseline, check_times)
-
-    if quality_fresh_path is not None:
-        with open(quality_fresh_path) as f:
-            quality_fresh = json.load(f)
-        with open(quality_baseline_path) as f:
-            quality_baseline = json.load(f)
-        compare_quality(gate, quality_fresh, quality_baseline, check_times)
 
     if telemetry_fresh_path is not None:
         with open(telemetry_fresh_path) as f:

@@ -68,7 +68,7 @@ check_fields src/service/render_service.h ServiceConfig
 
 # --- 3. CONFIG.md covers every GSTG_* env var parsed by runconfig --------
 # runconfig.cpp is where environment parsing lives; string literals like
-# "GSTG_PIPELINE" are the knobs. (Callers pass further names to the generic
+# "GSTG_TEMPORAL" are the knobs. (Callers pass further names to the generic
 # env_positive_size helper, so scan every source file for literals.)
 env_vars=$(grep -rhoE '"GSTG_[A-Z0-9_]+"' src/ | tr -d '"' | sort -u)
 if [ -z "$env_vars" ]; then

@@ -6,7 +6,7 @@ directory, runs check_bench.py as a subprocess (the same way CI invokes it)
 and asserts on the exit code and the violation text. Covers: the identity
 run, the +/-15% counter tolerance (both sides), --tolerance, hard
 correctness flags (lossless, batch/simd/residency identity, temporal /
-binning / dataset / quality / telemetry / service gates), scale mismatch,
+binning / dataset / telemetry / service gates), scale mismatch,
 missing scenes/fields, wall-clock skipping vs --check-times, and CLI
 contract errors (unpaired section flags, unknown options).
 
@@ -118,30 +118,6 @@ def dataset_doc():
                 "compression_ratio": 2.14,
                 "verify_ok": True,
                 "load_ms": 3.0,
-            }
-        ],
-    }
-
-
-def quality_doc():
-    return {
-        "scale": dict(SCALE),
-        "quality_ok": True,
-        "verify_ok": True,
-        "scenes": [
-            {
-                "scene": "orbit",
-                "visible_gaussians": 1000,
-                "sort_pairs_avoided": 4000,
-                "sort_comparison_volume_avoided": 40000.0,
-                "sortless_blend_ops": 91000,
-                "exact_blend_ops": 90000,
-                "psnr": 41.5,
-                "ssim": 0.995,
-                "sortless_sort_pairs": 0,
-                "quality_ok": True,
-                "verify_ok": True,
-                "sort_ms_removed": 2.5,
             }
         ],
     }
@@ -410,18 +386,6 @@ class CheckBenchTest(unittest.TestCase):
         fresh["fixtures"][0]["source"] = "ply_ascii"
         self.assert_fails(self.section_gate("dataset", fresh, dataset_doc()),
                           "sniffed source changed")
-
-    def test_quality_floor_gate_fails(self):
-        fresh = quality_doc()
-        fresh["quality_ok"] = False
-        self.assert_fails(self.section_gate("quality", fresh, quality_doc()),
-                          "PSNR/SSIM fell below")
-
-    def test_quality_sortless_sorted_pairs_fails(self):
-        fresh = quality_doc()
-        fresh["scenes"][0]["sortless_sort_pairs"] = 123
-        self.assert_fails(self.section_gate("quality", fresh, quality_doc()),
-                          "sortless run sorted 123 pairs")
 
     def test_telemetry_overhead_gate_fails(self):
         fresh = telemetry_doc()

@@ -1,149 +1,81 @@
 #include "common/runconfig.h"
 
 #include <charconv>
-#include <cstdio>
-#include <cstring>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "common/spelling_table.h"
+
 namespace gstg {
 
-RunScale run_scale_from_env() {
-  const char* env = std::getenv("GSTG_SCALE");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
-  const std::string value = env ? env : "bench";
-  if (value == "full") {
-    return RunScale{.resolution_divisor = 1, .gaussian_divisor = 1};
+namespace {
+
+constexpr Spelling<RunScale> kScaleSpellings[] = {
+    {"bench", RunScale{}},
+    {"small", RunScale{.resolution_divisor = 8, .gaussian_divisor = 64}},
+    {"full", RunScale{.resolution_divisor = 1, .gaussian_divisor = 1}},
+};
+
+constexpr Spelling<TemporalMode> kTemporalSpellings[] = {
+    {"off", TemporalMode::kOff},
+    {"reuse", TemporalMode::kReuse},
+    {"verify", TemporalMode::kVerify},
+};
+
+constexpr Spelling<BinningMode> kBinningSpellings[] = {
+    {"flat", BinningMode::kFlat},
+    {"hierarchical", BinningMode::kHierarchical},
+    {"auto", BinningMode::kAuto},
+    {"verify", BinningMode::kVerify},
+};
+
+constexpr Spelling<ResidencyMode> kResidencySpellings[] = {
+    {"float32", ResidencyMode::kFloat32},
+    {"compressed", ResidencyMode::kCompressed},
+    {"verify", ResidencyMode::kVerify},
+};
+
+std::string join_spellings(std::span<const char* const> accepted) {
+  std::string joined;
+  for (const char* text : accepted) {
+    if (!joined.empty()) joined += '|';
+    joined += text;
   }
-  if (value == "small") {
-    return RunScale{.resolution_divisor = 8, .gaussian_divisor = 64};
-  }
-  return RunScale{};  // "bench" default
+  return joined;
 }
+
+}  // namespace
+
+void throw_unknown_spelling(const char* what, const char* value,
+                            std::span<const char* const> accepted) {
+  throw std::invalid_argument(std::string(what) + ": invalid value '" + value +
+                              "' (expected one of " + join_spellings(accepted) + ")");
+}
+
+RunScale run_scale_from_env() { return env_spelling("GSTG_SCALE", kScaleSpellings, RunScale{}); }
+
+const char* to_string(const RunScale& scale) { return spelling_of(kScaleSpellings, scale); }
 
 TemporalMode temporal_mode_from_env(TemporalMode fallback) {
-  const char* env = std::getenv("GSTG_TEMPORAL");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
-  if (env == nullptr) return fallback;
-  const std::string value = env;
-  if (value == "off") return TemporalMode::kOff;
-  if (value == "reuse") return TemporalMode::kReuse;
-  if (value == "verify") return TemporalMode::kVerify;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "gstg: unknown GSTG_TEMPORAL value '%s' (expected off/reuse/verify), "
-                 "keeping the configured mode\n",
-                 env);
-  }
-  return fallback;
+  return env_spelling("GSTG_TEMPORAL", kTemporalSpellings, fallback);
 }
 
-const char* to_string(TemporalMode mode) {
-  switch (mode) {
-    case TemporalMode::kOff:
-      return "off";
-    case TemporalMode::kReuse:
-      return "reuse";
-    case TemporalMode::kVerify:
-      return "verify";
-  }
-  return "?";
-}
+const char* to_string(TemporalMode mode) { return spelling_of(kTemporalSpellings, mode); }
 
 BinningMode binning_mode_from_env(BinningMode fallback) {
-  const char* env = std::getenv("GSTG_BINNING");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
-  if (env == nullptr) return fallback;
-  const std::string value = env;
-  if (value == "flat") return BinningMode::kFlat;
-  if (value == "hierarchical") return BinningMode::kHierarchical;
-  if (value == "auto") return BinningMode::kAuto;
-  if (value == "verify") return BinningMode::kVerify;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "gstg: unknown GSTG_BINNING value '%s' (expected "
-                 "flat/hierarchical/auto/verify), keeping the configured mode\n",
-                 env);
-  }
-  return fallback;
+  return env_spelling("GSTG_BINNING", kBinningSpellings, fallback);
 }
 
-const char* to_string(BinningMode mode) {
-  switch (mode) {
-    case BinningMode::kFlat:
-      return "flat";
-    case BinningMode::kHierarchical:
-      return "hierarchical";
-    case BinningMode::kAuto:
-      return "auto";
-    case BinningMode::kVerify:
-      return "verify";
-  }
-  return "?";
-}
+const char* to_string(BinningMode mode) { return spelling_of(kBinningSpellings, mode); }
 
 ResidencyMode residency_mode_from_env(ResidencyMode fallback) {
-  const char* env = std::getenv("GSTG_RESIDENCY");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
-  if (env == nullptr) return fallback;
-  const std::string value = env;
-  if (value == "float32") return ResidencyMode::kFloat32;
-  if (value == "compressed") return ResidencyMode::kCompressed;
-  if (value == "verify") return ResidencyMode::kVerify;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "gstg: unknown GSTG_RESIDENCY value '%s' (expected "
-                 "float32/compressed/verify), keeping the configured mode\n",
-                 env);
-  }
-  return fallback;
+  return env_spelling("GSTG_RESIDENCY", kResidencySpellings, fallback);
 }
 
-const char* to_string(ResidencyMode mode) {
-  switch (mode) {
-    case ResidencyMode::kFloat32:
-      return "float32";
-    case ResidencyMode::kCompressed:
-      return "compressed";
-    case ResidencyMode::kVerify:
-      return "verify";
-  }
-  return "?";
-}
-
-PipelineMode pipeline_mode_from_env(PipelineMode fallback) {
-  const char* env = std::getenv("GSTG_PIPELINE");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
-  if (env == nullptr) return fallback;
-  const std::string value = env;
-  if (value == "exact") return PipelineMode::kExact;
-  if (value == "sortless") return PipelineMode::kSortless;
-  if (value == "verify") return PipelineMode::kVerify;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "gstg: unknown GSTG_PIPELINE value '%s' (expected "
-                 "exact/sortless/verify), keeping the configured mode\n",
-                 env);
-  }
-  return fallback;
-}
-
-const char* to_string(PipelineMode mode) {
-  switch (mode) {
-    case PipelineMode::kExact:
-      return "exact";
-    case PipelineMode::kSortless:
-      return "sortless";
-    case PipelineMode::kVerify:
-      return "verify";
-  }
-  return "?";
-}
+const char* to_string(ResidencyMode mode) { return spelling_of(kResidencySpellings, mode); }
 
 std::size_t env_positive_size(const char* name, std::size_t fallback) {
   const char* env = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist

@@ -20,7 +20,6 @@ namespace gstg {
 inline constexpr const char* kGstgEnvVars[] = {
     "GSTG_BINNING",           // binning_mode_from_env (flat/hierarchical/auto/verify)
     "GSTG_METRICS",           // telemetry: metrics JSON written at process exit
-    "GSTG_PIPELINE",          // pipeline_mode_from_env (exact/sortless/verify)
     "GSTG_RESIDENCY",         // residency_mode_from_env (float32/compressed/verify)
     "GSTG_SCALE",             // run_scale_from_env (bench/small/full)
     "GSTG_SERVICE_BATCH",     // render service: max batched requests per worker wake
@@ -44,13 +43,18 @@ struct RunScale {
   [[nodiscard]] bool is_full() const {
     return resolution_divisor == 1 && gaussian_divisor == 1;
   }
+
+  constexpr bool operator==(const RunScale&) const = default;
 };
 
-/// Reads GSTG_SCALE from the environment:
+/// Reads GSTG_SCALE from the environment (strict, see common/spelling_table.h):
 ///   unset / "bench" -> reduced scale (divisors 4 / 16)
 ///   "small"         -> extra-small scale for smoke tests (divisors 8 / 64)
 ///   "full"          -> paper scale (divisors 1 / 1)
 RunScale run_scale_from_env();
+
+/// The GSTG_SCALE spelling of `scale`; "?" for divisors no spelling selects.
+[[nodiscard]] const char* to_string(const RunScale& scale);
 
 /// Number of worker threads for the software pipelines (GSTG_THREADS or
 /// hardware_concurrency). A set-but-malformed GSTG_THREADS (non-numeric,
@@ -80,8 +84,8 @@ std::size_t env_positive_size(const char* name, std::size_t fallback);
 enum class TemporalMode : std::uint8_t { kOff, kReuse, kVerify };
 
 /// Reads GSTG_TEMPORAL from the environment ("off" / "reuse" / "verify").
-/// Unset returns `fallback`; an unknown value is ignored with a one-time
-/// warning, mirroring the GSTG_SIMD override semantics.
+/// Unset returns `fallback`; any value but these spellings throws (see
+/// common/spelling_table.h).
 TemporalMode temporal_mode_from_env(TemporalMode fallback);
 
 [[nodiscard]] const char* to_string(TemporalMode mode);
@@ -102,8 +106,8 @@ TemporalMode temporal_mode_from_env(TemporalMode fallback);
 enum class BinningMode : std::uint8_t { kFlat, kHierarchical, kAuto, kVerify };
 
 /// Reads GSTG_BINNING from the environment ("flat" / "hierarchical" /
-/// "auto" / "verify"). Unset returns `fallback`; an unknown value is
-/// ignored with a one-time warning, mirroring GSTG_TEMPORAL.
+/// "auto" / "verify"). Unset returns `fallback`; any value but these throws
+/// (see common/spelling_table.h).
 BinningMode binning_mode_from_env(BinningMode fallback);
 
 [[nodiscard]] const char* to_string(BinningMode mode);
@@ -123,35 +127,10 @@ BinningMode binning_mode_from_env(BinningMode fallback);
 enum class ResidencyMode : std::uint8_t { kFloat32, kCompressed, kVerify };
 
 /// Reads GSTG_RESIDENCY from the environment ("float32" / "compressed" /
-/// "verify"). Unset returns `fallback`; an unknown value is ignored with a
-/// one-time warning, mirroring GSTG_TEMPORAL / GSTG_BINNING.
+/// "verify"). Unset returns `fallback`; any value but these throws (see
+/// common/spelling_table.h).
 ResidencyMode residency_mode_from_env(ResidencyMode fallback);
 
 [[nodiscard]] const char* to_string(ResidencyMode mode);
-
-/// Blending discipline of the rasterization stage. Lives here, next to the
-/// other run modes, so both the render and core configs can carry the knob.
-/// Unlike every other mode pair in this file, kSortless is intentionally
-/// LOSSY: it trades the per-group depth sort (the paper's whole subject)
-/// for order-independent transmittance blending, gated on a PSNR/SSIM
-/// floor instead of bit-identity.
-///   kExact    — depth-sorted front-to-back alpha blending; bit-identical
-///               output (the standing lossless gate applies)
-///   kSortless — skip group sorting entirely and blend the unsorted lists
-///               with order-independent transmittance (Wang et al., arXiv
-///               2506.07069); deterministic bit-for-bit across thread
-///               counts, SIMD backends and list orders, but approximate
-///               with respect to exact output
-///   kVerify   — render both paths for every frame, ship the sortless
-///               image, and report PSNR/SSIM against the exact reference
-///               (the quality-audit mode; see src/render/quality.h)
-enum class PipelineMode : std::uint8_t { kExact, kSortless, kVerify };
-
-/// Reads GSTG_PIPELINE from the environment ("exact" / "sortless" /
-/// "verify"). Unset returns `fallback`; an unknown value is ignored with a
-/// one-time warning, mirroring GSTG_TEMPORAL / GSTG_BINNING.
-PipelineMode pipeline_mode_from_env(PipelineMode fallback);
-
-[[nodiscard]] const char* to_string(PipelineMode mode);
 
 }  // namespace gstg

@@ -1,58 +1,30 @@
 #include "common/simd.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <stdexcept>
-#include <string>
+#include "common/spelling_table.h"
 
 namespace gstg {
 
-const char* to_string(SimdBackend backend) {
-  switch (backend) {
-    case SimdBackend::kAuto:
-      return "auto";
-    case SimdBackend::kScalar:
-      return "scalar";
-    case SimdBackend::kSse4:
-      return "sse4";
-    case SimdBackend::kAvx2:
-      return "avx2";
-    case SimdBackend::kNeon:
-      return "neon";
-  }
-  return "auto";
-}
+namespace {
+
+constexpr Spelling<SimdBackend> kSimdSpellings[] = {
+    {"auto", SimdBackend::kAuto},
+    {"scalar", SimdBackend::kScalar},
+    {"sse4", SimdBackend::kSse4},
+    {"avx2", SimdBackend::kAvx2},
+    {"neon", SimdBackend::kNeon},
+};
+
+}  // namespace
+
+const char* to_string(SimdBackend backend) { return spelling_of(kSimdSpellings, backend); }
 
 SimdBackend simd_backend_from_string(const char* name) {
-  // strcmp instead of a std::string temporary: backend resolution sits on
-  // the render-kernel selection path, which must not allocate (lint R1).
   if (name == nullptr || *name == '\0') return SimdBackend::kAuto;
-  if (std::strcmp(name, "auto") == 0) return SimdBackend::kAuto;
-  if (std::strcmp(name, "scalar") == 0) return SimdBackend::kScalar;
-  if (std::strcmp(name, "sse4") == 0) return SimdBackend::kSse4;
-  if (std::strcmp(name, "avx2") == 0) return SimdBackend::kAvx2;
-  if (std::strcmp(name, "neon") == 0) return SimdBackend::kNeon;
-  throw std::invalid_argument(std::string("unknown SIMD backend name: ") + name +
-                              " (expected auto|scalar|sse4|avx2|neon)");
+  return parse_spelling("SIMD backend", kSimdSpellings, name);
 }
 
 SimdBackend simd_backend_from_env() {
-  const char* env = std::getenv("GSTG_SIMD");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
-  if (env == nullptr) return SimdBackend::kAuto;
-  try {
-    return simd_backend_from_string(env);
-  } catch (const std::invalid_argument&) {
-    static std::once_flag warned;
-    std::call_once(warned, [env] {
-      std::fprintf(stderr,
-                   "gstg: ignoring unknown GSTG_SIMD value '%s' "
-                   "(expected auto|scalar|sse4|avx2|neon)\n",
-                   env);
-    });
-    return SimdBackend::kAuto;
-  }
+  return env_spelling("GSTG_SIMD", kSimdSpellings, SimdBackend::kAuto);
 }
 
 bool cpu_supports(SimdBackend backend) {

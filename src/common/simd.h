@@ -69,8 +69,8 @@ const char* to_string(SimdBackend backend);
 SimdBackend simd_backend_from_string(const char* name);
 
 /// The GSTG_SIMD environment override, parsed. Returns kAuto when the
-/// variable is unset; prints a one-time warning and returns kAuto when it is
-/// set to an unknown value.
+/// variable is unset; any value other than the backend names throws
+/// std::invalid_argument naming GSTG_SIMD (common/spelling_table.h env_spelling).
 SimdBackend simd_backend_from_env();
 
 /// True when the running CPU can execute the backend's instruction set
@@ -506,10 +506,10 @@ GSTG_SIMD_INLINE std::int64_t hsum(VecI32<N> x) {
 /// Vectorized single-precision exponential (Cephes-style range reduction +
 /// degree-5 polynomial, 2^n scaling through exponent-field assembly).
 ///
-/// The one exponential of the rasterization kernels (exact and sortless, on
-/// every backend): alpha = sigma * fast_exp(-q / 2). Pixel values therefore
-/// differ from a libm-based blend by the bound below, while every backend —
-/// and the baseline and GS-TG pipelines, which share the kernel — agrees
+/// The one exponential of the rasterization kernel (on every backend):
+/// alpha = sigma * fast_exp(-q / 2). Pixel values therefore differ from a
+/// libm-based blend by the bound below, while every backend — and the
+/// baseline and GS-TG pipelines, which share the kernel — agrees
 /// bit-for-bit.
 ///
 /// Contract (verified empirically in tests/common/test_simd.cpp over a dense

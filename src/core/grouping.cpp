@@ -168,19 +168,17 @@ void sort_groups(BinnedSplats& group_bins, std::vector<TileMask>& masks,
   }
 }
 
-namespace {
-
-/// Shared tile loop of the exact and sortless grouped rasterizers: the
-/// bitmask AND-filter per tile, then `raster_tile(worker, filtered, x0, y0,
-/// x1, y1)` — the only stage the two paths differ in.
-template <typename TileFn>
-void rasterize_grouped_impl(const GroupedFrame& frame, std::size_t threads,
-                            RenderCounters& counters, RasterScratch* scratch,
-                            TileFn&& raster_tile) {
+void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat> splats,
+                       Framebuffer& fb, std::size_t threads, RenderCounters& counters,
+                       RasterScratch* scratch) {
   const CellGrid& tile_grid = frame.tile_grid;
   const CellGrid& group_grid = frame.group_grid;
   const int r = frame.config.tiles_per_side();
   const std::size_t tiles = static_cast<std::size_t>(tile_grid.cell_count());
+
+  // Backend resolution happens once per frame; every tile kernel call then
+  // dispatches on a concrete backend (no env reads in the hot loop).
+  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend)};
 
   // Per-worker reusable buffers sized from the exact worker count. The
   // stats are plain integers, so they merge through atomics.
@@ -222,7 +220,8 @@ void rasterize_grouped_impl(const GroupedFrame& frame, std::size_t threads,
       const int y0 = ty * tile_grid.cell_size;
       const int x1 = std::min(x0 + tile_grid.cell_size, tile_grid.image_width);
       const int y1 = std::min(y0 + tile_grid.cell_size, tile_grid.image_height);
-      local.raster.accumulate(raster_tile(wk, filtered, x0, y0, x1, y1));
+      local.raster.accumulate(
+          rasterize_tile(splats, filtered, x0, y0, x1, y1, fb, wk.tile, simd));
     }
     alpha.fetch_add(local.raster.alpha_computations, std::memory_order_relaxed);
     blends.fetch_add(local.raster.blend_ops, std::memory_order_relaxed);
@@ -238,35 +237,6 @@ void rasterize_grouped_impl(const GroupedFrame& frame, std::size_t threads,
   counters.pixel_list_work += list_work.load();
   counters.total_pixels += pixels.load();
   counters.filter_checks += checks.load();
-}
-
-}  // namespace
-
-void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat> splats,
-                       Framebuffer& fb, std::size_t threads, RenderCounters& counters,
-                       RasterScratch* scratch) {
-  // Backend resolution happens once per frame; every tile kernel call then
-  // dispatches on a concrete backend (no env reads in the hot loop).
-  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend)};
-  rasterize_grouped_impl(frame, threads, counters, scratch,
-                         [&](RasterScratch::Worker& wk, std::span<const std::uint32_t> filtered,
-                             int x0, int y0, int x1, int y1) {
-                           return rasterize_tile(splats, filtered, x0, y0, x1, y1, fb, wk.tile,
-                                                 simd);
-                         });
-}
-
-void rasterize_grouped_sortless(const GroupedFrame& frame,
-                                std::span<const ProjectedSplat> splats, Framebuffer& fb,
-                                std::size_t threads, RenderCounters& counters,
-                                RasterScratch* scratch) {
-  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend)};
-  rasterize_grouped_impl(frame, threads, counters, scratch,
-                         [&](RasterScratch::Worker& wk, std::span<const std::uint32_t> filtered,
-                             int x0, int y0, int x1, int y1) {
-                           return rasterize_tile_sortless(splats, filtered, x0, y0, x1, y1, fb,
-                                                          wk.sortless, simd);
-                         });
 }
 
 }  // namespace gstg

@@ -77,14 +77,12 @@ void sort_group_entries(std::uint32_t* ids, TileMask* masks, std::size_t n,
                         std::span<const ProjectedSplat> splats, SortAlgo algo, int key_bits,
                         int index_bits, SortWorkerScratch& ws);
 
-/// Reusable per-worker rasterization buffers for rasterize_grouped and
-/// rasterize_grouped_sortless: the bitmask-filtered id list plus the
-/// blending scratch of both tile kernels (exact and sortless).
+/// Reusable per-worker rasterization buffers for rasterize_grouped: the
+/// bitmask-filtered id list plus the tile kernel's blending scratch.
 struct RasterScratch {
   struct Worker {
     std::vector<std::uint32_t> filtered;
     TileRasterScratch tile;
-    SortlessRasterScratch sortless;
   };
   std::vector<Worker> workers;
 };
@@ -98,18 +96,6 @@ GSTG_HOT_NOALLOC
 void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat> splats,
                        Framebuffer& fb, std::size_t threads, RenderCounters& counters,
                        RasterScratch* scratch = nullptr);
-
-/// rasterize_grouped() with the sortless (order-independent transmittance)
-/// tile kernel: the same bitmask AND-filter per tile, but the filtered list
-/// is blended WITHOUT sort_groups having run — the kSortless/kVerify
-/// pipelines (common/runconfig.h). The blended image is bit-identical
-/// regardless of entry order, so it does not matter whether the frame's
-/// bins are raw (kSortless) or happen to be sorted (the kVerify audit).
-GSTG_HOT_NOALLOC
-void rasterize_grouped_sortless(const GroupedFrame& frame,
-                                std::span<const ProjectedSplat> splats, Framebuffer& fb,
-                                std::size_t threads, RenderCounters& counters,
-                                RasterScratch* scratch = nullptr);
 
 /// Local-tile bit index inside a group (row-major over the group's tiles).
 constexpr int mask_bit_index(int local_tx, int local_ty, int tiles_per_side) {

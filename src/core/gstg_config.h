@@ -53,14 +53,6 @@ struct GsTgConfig {
   /// and kVerify runs both preprocesses and throws ResidencyError unless
   /// the streamed splat stream is bit-identical to the up-front one.
   ResidencyMode residency = ResidencyMode::kCompressed;
-  /// Blending discipline (common/runconfig.h; GSTG_PIPELINE overrides):
-  /// kExact (the default) keeps the depth-sorted, bit-identical pipeline;
-  /// kSortless skips group sorting entirely and blends with
-  /// order-independent transmittance — intentionally lossy, gated on a
-  /// PSNR/SSIM floor (bench_quality) instead of the lossless gate; kVerify
-  /// ships the sortless image and also renders the exact reference,
-  /// reporting per-frame quality (FrameContext::quality).
-  PipelineMode pipeline = PipelineMode::kExact;
   std::size_t threads = 0;  ///< 0 = auto
   /// Starts the process-global trace collector (src/telemetry/trace.h) when
   /// a Renderer is constructed with this config. GSTG_TRACE=<path> does the
@@ -82,7 +74,6 @@ struct GsTgConfig {
     rc.sort_algo = sort_algo;
     rc.simd = simd;
     rc.binning = binning;
-    rc.pipeline = pipeline;
     rc.threads = threads;
     return rc;
   }
@@ -103,13 +94,6 @@ struct GsTgConfig {
     }
     if (tiles_per_group() > 64) {
       throw std::invalid_argument("GsTgConfig: more than 64 tiles per group (bitmask overflow)");
-    }
-    if (pipeline != PipelineMode::kExact && temporal == TemporalMode::kVerify) {
-      // Temporal kVerify audits that a reused group order is still the exact
-      // sorted order — meaningless when the sortless pipeline never sorts.
-      throw std::invalid_argument(
-          "GsTgConfig: temporal kVerify requires the exact pipeline "
-          "(sortless blending never sorts, so there is no order to audit)");
     }
   }
 

@@ -14,7 +14,7 @@ RenderResult render_gstg(const GaussianCloud& cloud, const Camera& camera,
   const Renderer renderer(config);
   FrameContext ctx;
   renderer.render(cloud, camera, ctx);
-  return RenderResult{std::move(ctx.image), ctx.times, ctx.counters, ctx.quality};
+  return RenderResult{std::move(ctx.image), ctx.times, ctx.counters};
 }
 
 GsTgFrameData build_gstg_frame(const GaussianCloud& cloud, const Camera& camera,

@@ -14,7 +14,6 @@ namespace gstg {
 Renderer::Renderer(const GsTgConfig& config) : config_(config) {
   config_.binning = binning_mode_from_env(config.binning);
   config_.residency = residency_mode_from_env(config.residency);
-  config_.pipeline = pipeline_mode_from_env(config.pipeline);
   config_.validate();
   telemetry::ensure_started_from_env();
   if (config_.trace) telemetry::ensure_collecting();
@@ -25,7 +24,6 @@ void Renderer::render(const GaussianCloud& cloud, const Camera& camera,
   GSTG_SPAN("frame");
   ctx.times = {};
   ctx.counters = {};
-  ctx.quality = {};
   Timer timer;
 
   {
@@ -64,7 +62,6 @@ void Renderer::render(const CompressedCloud& cloud, const Camera& camera,
   GSTG_SPAN("frame");
   ctx.times = {};
   ctx.counters = {};
-  ctx.quality = {};
   Timer timer;
   const RenderConfig rc = config_.render_config();
 
@@ -138,11 +135,6 @@ void Renderer::finish_frame(const Camera& camera, FrameContext& ctx, Timer& time
   }
   ctx.times.bitmask_ms = timer.lap_ms();
 
-  if (config_.pipeline != PipelineMode::kExact) {
-    finish_sortless_stages(config_, camera, ctx, timer);
-    return;
-  }
-
   {
     // Group-wise sorting.
     GSTG_SPAN("sort_groups");
@@ -159,36 +151,6 @@ void Renderer::finish_frame(const Camera& camera, FrameContext& ctx, Timer& time
                       &ctx.raster);
   }
   ctx.times.raster_ms = timer.lap_ms();
-}
-
-void finish_sortless_stages(const GsTgConfig& config, const Camera& camera, FrameContext& ctx,
-                            Timer& timer) {
-  // No group sort runs; the raw bin order feeds the order-independent
-  // kernel directly (its output is invariant under any reordering).
-  ctx.times.sort_ms = timer.lap_ms();
-
-  {
-    GSTG_SPAN("raster");
-    ctx.image.resize(camera.width(), camera.height());
-    rasterize_grouped_sortless(ctx.frame, ctx.splats, ctx.image, config.threads, ctx.counters,
-                               &ctx.raster);
-  }
-  ctx.times.raster_ms = timer.lap_ms();
-
-  if (config.pipeline == PipelineMode::kVerify) {
-    // Quality audit: sort the bins and render the exact reference. Audit
-    // work is charged to a discarded counter record — ctx.counters (and
-    // ctx.image, already flushed above) match a pure kSortless frame, and
-    // the audit time stays out of the per-stage attribution.
-    GSTG_SPAN("quality_audit");
-    RenderCounters audit;
-    sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config.threads, audit,
-                config.sort_algo, &ctx.sort);
-    ctx.verify_image.resize(camera.width(), camera.height());
-    rasterize_grouped(ctx.frame, ctx.splats, ctx.verify_image, config.threads, audit,
-                      &ctx.raster);
-    ctx.quality = image_quality(ctx.verify_image, ctx.image);
-  }
 }
 
 BatchRenderResult render_batch(const GaussianCloud& cloud, std::span<const Camera> cameras,

@@ -39,11 +39,6 @@ struct FrameContext {
   Framebuffer image{1, 1};
   StageTimes times;
   RenderCounters counters;
-  /// PipelineMode::kVerify only: the exact reference image of the frame and
-  /// the PSNR/SSIM of the shipped sortless image against it
-  /// (quality.measured stays false under kExact / kSortless).
-  Framebuffer verify_image{1, 1};
-  ImageQuality quality;
 
   // Reused stage scratch.
   PreprocessScratch preprocess;
@@ -94,17 +89,6 @@ class Renderer {
 
   GsTgConfig config_;
 };
-
-/// Shared post-bitmask stages of a frame under a non-exact pipeline
-/// (kSortless / kVerify), used by Renderer and TemporalRenderer: no group
-/// sort runs — the raw (unsorted) bins feed the order-independent tile
-/// kernel directly, so ctx.counters reports zero sort_pairs. Under kVerify
-/// the audit additionally sorts the bins, renders the exact reference into
-/// ctx.verify_image and fills ctx.quality; audit work is charged to a
-/// discarded counter record so ctx.counters (and ctx.image — the sortless
-/// kernel is order-independent bit-for-bit) match a pure kSortless run.
-void finish_sortless_stages(const GsTgConfig& config, const Camera& camera, FrameContext& ctx,
-                            Timer& timer);
 
 /// Batch rendering options.
 struct BatchOptions {

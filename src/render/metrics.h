@@ -85,7 +85,6 @@ struct ServiceStats {
   std::size_t reuse_pairs = 0;         ///< TemporalStats::pairs_reused across sessions
   std::size_t sorted_pairs = 0;        ///< TemporalStats::pairs_sorted across sessions
   std::size_t verify_mismatches = 0;   ///< verify-gate renders that diverged (must be 0)
-  std::size_t fast_tier_completed = 0;  ///< kOk responses rendered by the sortless fast tier
 
   /// Share of sort-pair work the per-session temporal caches avoided.
   [[nodiscard]] double reuse_pair_ratio() const {

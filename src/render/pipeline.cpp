@@ -10,7 +10,7 @@ namespace gstg {
 
 RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
                              const RenderConfig& config) {
-  RenderResult result{Framebuffer(camera.width(), camera.height()), {}, {}, {}};
+  RenderResult result{Framebuffer(camera.width(), camera.height()), {}, {}};
   Timer timer;
 
   // Preprocessing: feature computation + culling + tile identification.
@@ -21,28 +21,6 @@ RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
   BinnedSplats bins = bin_splats(splats, grid, config.boundary, config.threads, result.counters,
                                  binning_mode_from_env(config.binning));
   result.times.preprocess_ms = timer.lap_ms();
-
-  const PipelineMode pipeline = pipeline_mode_from_env(config.pipeline);
-
-  if (pipeline != PipelineMode::kExact) {
-    // Sortless: blend the raw (unsorted) per-tile lists order-independently.
-    // No sort runs, so sort_pairs / sort_comparison_volume stay 0.
-    result.times.sort_ms = timer.lap_ms();
-    rasterize_all_sortless(bins, splats, result.image, config.threads, result.counters,
-                           config.simd);
-    result.times.raster_ms = timer.lap_ms();
-
-    if (pipeline == PipelineMode::kVerify) {
-      // Audit render: the exact pipeline on the same bins, reported as
-      // PSNR/SSIM but never shipped (counters/times stay the sortless ones).
-      RenderCounters audit_counters;
-      sort_cell_lists(bins, splats, config.threads, audit_counters, config.sort_algo);
-      Framebuffer reference(camera.width(), camera.height());
-      rasterize_all(bins, splats, reference, config.threads, audit_counters, config.simd);
-      result.quality = image_quality(reference, result.image);
-    }
-    return result;
-  }
 
   // Tile-wise sorting.
   sort_cell_lists(bins, splats, config.threads, result.counters, config.sort_algo);

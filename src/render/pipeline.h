@@ -8,7 +8,6 @@
 #include "camera/camera.h"
 #include "gaussian/cloud.h"
 #include "render/framebuffer.h"
-#include "render/quality.h"
 #include "render/types.h"
 
 namespace gstg {
@@ -18,16 +17,10 @@ struct RenderResult {
   Framebuffer image;
   StageTimes times;
   RenderCounters counters;
-  /// PipelineMode::kVerify only: PSNR/SSIM of the shipped sortless image
-  /// against the exact reference (quality.measured stays false otherwise).
-  ImageQuality quality;
 };
 
 /// Runs the full baseline pipeline. Deterministic for a fixed input
-/// regardless of thread count. `config.pipeline` selects the blending
-/// discipline: kSortless skips the per-tile sort (sort_pairs stays 0) and
-/// blends order-independently; kVerify ships the sortless image and fills
-/// in RenderResult::quality against the exact reference.
+/// regardless of thread count.
 RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
                              const RenderConfig& config);
 

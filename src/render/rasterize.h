@@ -78,45 +78,4 @@ void rasterize_all(const BinnedSplats& bins, std::span<const ProjectedSplat> spl
                    Framebuffer& fb, std::size_t threads, RenderCounters& counters,
                    SimdPolicy simd = {});
 
-/// Depth falloff rate of the order-independent weight
-/// w = alpha * 2^(-beta * (depth - dmin) / (dmax - dmin)): the nearest splat
-/// in a tile carries 2^beta times the weight of the farthest, which is the
-/// scene-scale-invariant stand-in for front-to-back occlusion.
-inline constexpr float kSortlessDepthBeta = 6.0f;
-
-/// Reusable per-worker accumulators of the sortless (order-independent
-/// transmittance) tile kernel. Accumulation is int64 fixed point — each
-/// (pixel, splat) contribution is quantized once and integer sums are
-/// associative/commutative — so the blended image is bit-identical across
-/// thread counts, SIMD backends AND splat-list orders, even though binning
-/// emits its per-cell lists in a nondeterministic order.
-struct SortlessRasterScratch {
-  std::vector<float> px;               ///< one row of pixel-centre x, lane-padded
-  std::vector<std::int64_t> acc_w;     ///< Σ Q30(alpha * depth_weight)
-  std::vector<std::int64_t> acc_r;     ///< Σ Q30(alpha * depth_weight * rgb)
-  std::vector<std::int64_t> acc_g;
-  std::vector<std::int64_t> acc_b;
-  std::vector<std::int64_t> acc_t;     ///< Σ Q32(log2(1 - alpha))
-};
-
-/// Order-independent transmittance rasterization of the UNSORTED splat
-/// sequence `order` into [x0, x1) x [y0, y1) of `fb` (the kSortless /
-/// kVerify pipelines — see common/runconfig.h). Two differences from
-/// rasterize_tile: the result is an approximation of sorted blending
-/// (weighted average scaled by total coverage 1 - Π(1 - alpha)), and there
-/// is no transmittance early exit (`early_exit_pixels` is always 0 — an
-/// exit would reintroduce order dependence). Footprint evaluation is
-/// axis-shared: the dy-dependent quad terms are hoisted per pixel row.
-GSTG_HOT_NOALLOC
-TileRasterStats rasterize_tile_sortless(std::span<const ProjectedSplat> splats,
-                                        std::span<const std::uint32_t> order, int x0, int y0,
-                                        int x1, int y1, Framebuffer& fb,
-                                        SortlessRasterScratch& scratch, SimdPolicy simd = {});
-
-/// Baseline full-image sortless rasterization over (unsorted) per-tile
-/// lists; `counters.sort_pairs` stays untouched because nothing sorts.
-void rasterize_all_sortless(const BinnedSplats& bins, std::span<const ProjectedSplat> splats,
-                            Framebuffer& fb, std::size_t threads, RenderCounters& counters,
-                            SimdPolicy simd = {});
-
 }  // namespace gstg

@@ -23,10 +23,6 @@ namespace gstg {
   TileRasterStats rasterize_tile_kernel(std::span<const ProjectedSplat>,                     \
                                         std::span<const std::uint32_t>, int, int, int, int,  \
                                         Framebuffer&, TileRasterScratch&);                   \
-  TileRasterStats rasterize_tile_sortless_kernel(std::span<const ProjectedSplat>,            \
-                                                 std::span<const std::uint32_t>, int, int,   \
-                                                 int, int, Framebuffer&,                     \
-                                                 SortlessRasterScratch&);                    \
   void preprocess_chunk_kernel(const PreprocessChunkArgs&, std::size_t, std::size_t);        \
   }
 
@@ -118,25 +114,6 @@ bool probe_matches_scalar(const SimdKernels& k) {
   }
   if (std::memcmp(fa.pixels().data(), fb.pixels().data(),
                   fa.pixels().size() * sizeof(Vec3)) != 0) {
-    return false;
-  }
-
-  // Sortless probe: the same tile through the order-independent kernel,
-  // forward under the scalar reference and REVERSED under the candidate —
-  // one comparison covers both the cross-backend bit-identity and the
-  // order-independence contract of the sortless pipeline.
-  std::vector<std::uint32_t> reversed(order.rbegin(), order.rend());
-  Framebuffer fsa(16, 16), fsb(16, 16);
-  SortlessRasterScratch ssa, ssb;
-  const TileRasterStats sra = ref.rasterize_tile_sortless(splats, order, 0, 0, 16, 16, fsa, ssa);
-  const TileRasterStats srb =
-      k.rasterize_tile_sortless(splats, reversed, 0, 0, 16, 16, fsb, ssb);
-  if (sra.alpha_computations != srb.alpha_computations || sra.blend_ops != srb.blend_ops ||
-      srb.early_exit_pixels != 0) {
-    return false;
-  }
-  if (std::memcmp(fsa.pixels().data(), fsb.pixels().data(),
-                  fsa.pixels().size() * sizeof(Vec3)) != 0) {
     return false;
   }
 
@@ -241,7 +218,6 @@ const SimdKernels& simd_kernels(SimdBackend backend) {
     case SimdBackend::kScalar: {
       static const SimdKernels k{SimdBackend::kScalar, 1,
                                  &simd_scalar::rasterize_tile_kernel,
-                                 &simd_scalar::rasterize_tile_sortless_kernel,
                                  &simd_scalar::preprocess_chunk_kernel};
       return k;
     }
@@ -249,7 +225,6 @@ const SimdKernels& simd_kernels(SimdBackend backend) {
 #if defined(GSTG_SIMD_HAVE_SSE4)
     {
       static const SimdKernels k{SimdBackend::kSse4, 4, &simd_sse4::rasterize_tile_kernel,
-                                 &simd_sse4::rasterize_tile_sortless_kernel,
                                  &simd_sse4::preprocess_chunk_kernel};
       return k;
     }
@@ -260,7 +235,6 @@ const SimdKernels& simd_kernels(SimdBackend backend) {
 #if defined(GSTG_SIMD_HAVE_AVX2)
     {
       static const SimdKernels k{SimdBackend::kAvx2, 8, &simd_avx2::rasterize_tile_kernel,
-                                 &simd_avx2::rasterize_tile_sortless_kernel,
                                  &simd_avx2::preprocess_chunk_kernel};
       return k;
     }
@@ -271,7 +245,6 @@ const SimdKernels& simd_kernels(SimdBackend backend) {
 #if defined(GSTG_SIMD_HAVE_NEON)
     {
       static const SimdKernels k{SimdBackend::kNeon, 4, &simd_neon::rasterize_tile_kernel,
-                                 &simd_neon::rasterize_tile_sortless_kernel,
                                  &simd_neon::preprocess_chunk_kernel};
       return k;
     }

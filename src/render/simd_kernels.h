@@ -53,13 +53,6 @@ struct SimdKernels {
                                     int x1, int y1, Framebuffer& fb,
                                     TileRasterScratch& scratch) = nullptr;
 
-  /// The sortless (order-independent transmittance) tile loop: `order` may
-  /// be in any order; the output is bit-identical for every permutation.
-  TileRasterStats (*rasterize_tile_sortless)(std::span<const ProjectedSplat> splats,
-                                             std::span<const std::uint32_t> order, int x0,
-                                             int y0, int x1, int y1, Framebuffer& fb,
-                                             SortlessRasterScratch& scratch) = nullptr;
-
   /// Projects and culls cloud Gaussians [lo, hi) into args.slots/args.keep.
   void (*preprocess_chunk)(const PreprocessChunkArgs& args, std::size_t lo,
                            std::size_t hi) = nullptr;

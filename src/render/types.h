@@ -43,11 +43,6 @@ struct RenderConfig {
   /// (hierarchical audited bit-identical against flat). Every mode
   /// produces identical per-cell hit sets.
   BinningMode binning = BinningMode::kAuto;
-  /// Blending discipline (common/runconfig.h; GSTG_PIPELINE overrides):
-  /// kExact depth-sorts per tile, kSortless skips the per-tile sort and
-  /// blends with order-independent transmittance (lossy, quality-gated),
-  /// kVerify ships the sortless image and reports PSNR/SSIM vs exact.
-  PipelineMode pipeline = PipelineMode::kExact;
   /// Worker threads (0 = auto).
   std::size_t threads = 0;
 };

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/runconfig.h"
+#include "common/simd.h"
 #include "common/timer.h"
 #include "core/pipeline.h"
 #include "dataset/dataset.h"
@@ -57,12 +58,8 @@ bool validate_render_request(const RenderRequest& request, std::string& error) {
     error = "camera has non-finite intrinsics or pose";
     return false;
   }
-  if (request.fast_tier && request.session != 0) {
-    // The fast tier never sorts, so there is no sorted order for a session's
-    // temporal cache to reuse — the combination is a contradiction, not a
-    // degraded mode, and gets a typed rejection at the boundary.
-    error = "fast_tier requests must be stateless (session 0), got session " +
-            std::to_string(request.session);
+  if (request.fast_tier) {
+    error = "fast_tier is retired and must be false (every request renders exact)";
     return false;
   }
   return true;
@@ -88,6 +85,12 @@ ServiceConfig ServiceConfig::resolved() const {
   if (r.session_capacity == 0) {
     r.session_capacity = env_positive_size("GSTG_SERVICE_SESSIONS", 64);
   }
+  // Resolve the run-mode overrides here, on the caller's thread: a misspelled
+  // value must fail the constructor, not a worker thread after startup.
+  r.render.temporal = temporal_mode_from_env(r.render.temporal);
+  r.render.binning = binning_mode_from_env(r.render.binning);
+  r.render.residency = residency_mode_from_env(r.render.residency);
+  (void)simd_backend_from_env();
   r.render.validate();
   return r;
 }
@@ -295,22 +298,13 @@ std::vector<RenderService::Pending> RenderService::take_batch() {
 
 RenderResponse RenderService::render_one(const RenderRequest& request, const GaussianCloud& cloud,
                                          Session* session, Renderer& stateless,
-                                         FrameContext& stateless_ctx, Renderer& fast,
-                                         FrameContext& fast_ctx) {
+                                         FrameContext& stateless_ctx) {
   RenderResponse response;
   Timer timer;
   try {
     {
       GSTG_SPAN("service_render");
-      if (request.fast_tier) {
-        // Sortless fast tier: stateless by validation, rendered through the
-        // per-worker kSortless renderer. Lossy vs the exact pipeline, but
-        // deterministic and order-independent, so the verify gate below still
-        // holds bit-for-bit under the same sortless reference config.
-        fast.render(cloud, request.camera, fast_ctx);
-        response.image = fast_ctx.image;
-        response.counters = fast_ctx.counters;
-      } else if (session != nullptr) {
+      if (session != nullptr) {
         if (session->scene_key != request.scene) {
           // The cross-frame cache is meaningless across scenes: cold-start it.
           session->renderer->invalidate();
@@ -329,11 +323,9 @@ RenderResponse RenderService::render_one(const RenderRequest& request, const Gau
     telemetry::MetricsRegistry::global().record_latency("service.render_ms", timer.lap_ms());
     if (config_.verify) {
       // The kVerify-style service gate: every response must be bit-identical
-      // to a sequential one-shot render of the same request. Fast-tier
-      // responses compare against the fast renderer's resolved config (its
-      // sortless output is deterministic, so the bit-compare stays valid).
+      // to a sequential one-shot render of the same request.
       GSTG_SPAN("service_verify");
-      GsTgConfig reference = request.fast_tier ? fast.config() : config_.render;
+      GsTgConfig reference = config_.render;
       reference.temporal = TemporalMode::kOff;
       const RenderResult oneshot = render_gstg(cloud, request.camera, reference);
       if (max_abs_diff(oneshot.image, response.image) != 0.0f) {
@@ -353,18 +345,8 @@ RenderResponse RenderService::render_one(const RenderRequest& request, const Gau
 void RenderService::worker_loop() {
   // Persistent per-worker resources: stateless requests render through one
   // reused Renderer + FrameContext (the zero-steady-state-allocation path).
-  // The fast tier gets its own sortless pair: pipeline forced to kSortless
-  // (GSTG_PIPELINE may still override it process-wide inside the Renderer
-  // constructor — an operator escape hatch, applied identically to the
-  // verify-gate reference) and temporal off so the pair is always a valid
-  // configuration regardless of the service's session settings.
   Renderer stateless(config_.render);
   FrameContext stateless_ctx;
-  GsTgConfig fast_config = config_.render;
-  fast_config.pipeline = PipelineMode::kSortless;
-  fast_config.temporal = TemporalMode::kOff;
-  Renderer fast(fast_config);
-  FrameContext fast_ctx;
 
   for (;;) {
     std::vector<Pending> batch;
@@ -424,7 +406,6 @@ void RenderService::worker_loop() {
 
     std::size_t completed = 0;
     std::size_t failed = 0;
-    std::size_t fast_completed = 0;
     std::size_t reuse_pairs = 0;
     std::size_t sorted_pairs = 0;
     std::vector<RenderResponse> responses;
@@ -432,11 +413,9 @@ void RenderService::worker_loop() {
     for (Pending& pending : batch) {
       RenderResponse response =
           load_status == ServiceStatus::kOk
-              ? render_one(pending.request, *cloud, session, stateless, stateless_ctx, fast,
-                           fast_ctx)
+              ? render_one(pending.request, *cloud, session, stateless, stateless_ctx)
               : error_response(load_status, load_error);
       response.ok() ? ++completed : ++failed;
-      if (response.ok() && pending.request.fast_tier) ++fast_completed;
       reuse_pairs += response.temporal.pairs_reused;
       sorted_pairs += response.temporal.pairs_sorted;
       responses.push_back(std::move(response));
@@ -449,7 +428,6 @@ void RenderService::worker_loop() {
       if (session != nullptr) session->busy = false;
       stats_.requests_completed += completed;
       stats_.requests_failed += failed;
-      stats_.fast_tier_completed += fast_completed;
       stats_.reuse_pairs += reuse_pairs;
       stats_.sorted_pairs += sorted_pairs;
     }

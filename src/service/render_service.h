@@ -23,12 +23,6 @@
 // construction; ServiceConfig::verify re-renders every response through the
 // one-shot pipeline and counts mismatches (the kVerify-style audit gate —
 // bench_service and the service tests run with it on).
-//
-// Fast tier: RenderRequest::fast_tier routes a stateless request through a
-// per-worker sortless renderer (PipelineMode::kSortless, temporal off) —
-// lossy relative to the exact pipeline but deterministic and
-// order-independent, so the verify gate still bit-compares fast-tier
-// responses against a one-shot render under the same sortless config.
 #pragma once
 
 #include <condition_variable>
@@ -71,13 +65,10 @@ struct RenderRequest {
   std::string scene;  ///< synthetic scene name or a .ply path (SceneCache key)
   Camera camera;
   std::uint64_t session = 0;
-  /// Opt into the sortless fast tier: the frame renders through
-  /// PipelineMode::kSortless (zero group-sort pairs, order-independent
-  /// blending — lossy, gated by the committed per-scene PSNR/SSIM floor
-  /// instead of bit-identity). Fast-tier requests must be stateless
-  /// (session == 0); combining the two is a typed kInvalidRequest, because
-  /// the temporal cache reuses sorted orders that the fast tier never
-  /// produces.
+  /// Retired: the lossy fast tier this selected no longer exists. The field
+  /// stays so positional aggregate initialisation of requests keeps
+  /// compiling; `true` is rejected with a typed kInvalidRequest naming
+  /// fast_tier, never silently rendered exact.
   bool fast_tier = false;
 };
 
@@ -115,8 +106,10 @@ struct ServiceConfig {
 
   ServiceConfig();
 
-  /// Fills every zero knob from its environment override / default and
-  /// validates; throws std::invalid_argument on inconsistent values.
+  /// Fills every zero knob from its environment override / default, applies
+  /// the GSTG_TEMPORAL/GSTG_BINNING/GSTG_RESIDENCY overrides, checks GSTG_SIMD
+  /// and validates; throws std::invalid_argument on a malformed override or
+  /// inconsistent values.
   [[nodiscard]] ServiceConfig resolved() const;
 };
 
@@ -184,8 +177,7 @@ class RenderService {
   std::vector<Pending> take_batch();                   // caller holds mutex_
   void worker_loop();
   RenderResponse render_one(const RenderRequest& request, const GaussianCloud& cloud,
-                            Session* session, Renderer& stateless, FrameContext& stateless_ctx,
-                            Renderer& fast, FrameContext& fast_ctx);
+                            Session* session, Renderer& stateless, FrameContext& stateless_ctx);
 
   ServiceConfig config_;
   SceneCache cache_;
@@ -203,7 +195,7 @@ class RenderService {
 /// Validates a request against the service limits without submitting it.
 /// Returns true when valid; otherwise fills `error` with the reason
 /// (non-finite camera intrinsics/pose, image size beyond kMaxImageDim,
-/// empty scene id, fast_tier combined with a session stream).
+/// empty scene id, the retired fast_tier flag set).
 inline constexpr int kMaxImageDim = 16384;
 [[nodiscard]] bool validate_render_request(const RenderRequest& request, std::string& error);
 

@@ -33,7 +33,6 @@ void prepare_scratch(TemporalScratch& scratch, std::size_t workers, std::size_t 
 TemporalRenderer::TemporalRenderer(const GsTgConfig& config) : config_(config) {
   config_.temporal = temporal_mode_from_env(config.temporal);
   config_.binning = binning_mode_from_env(config.binning);
-  config_.pipeline = pipeline_mode_from_env(config.pipeline);
   config_.validate();
   telemetry::ensure_started_from_env();
   if (config_.trace) telemetry::ensure_collecting();
@@ -50,7 +49,6 @@ void TemporalRenderer::render(const GaussianCloud& cloud, const Camera& camera,
   GSTG_SPAN("frame");
   ctx.times = {};
   ctx.counters = {};
-  ctx.quality = {};
   Timer timer;
 
   {
@@ -77,17 +75,6 @@ void TemporalRenderer::render(const GaussianCloud& cloud, const Camera& camera,
                            ctx.counters, ctx.frame.masks);
   }
   ctx.times.bitmask_ms = timer.lap_ms();
-
-  if (config_.pipeline != PipelineMode::kExact) {
-    // Sortless bypasses the group-sort cache cleanly: nothing sorts, so
-    // there is no order to snapshot, reuse, or audit — the cache is never
-    // touched and every TemporalStats field stays zero (frames excepted).
-    last_ = {};
-    last_.frames = 1;
-    total_.merge(last_);
-    finish_sortless_stages(config_, camera, ctx, timer);
-    return;
-  }
 
   // Group ordering: reuse the cached cross-frame order where provably
   // valid, sort the rest; then snapshot the (now sorted) lists for the next

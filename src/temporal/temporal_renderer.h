@@ -78,12 +78,6 @@ struct TemporalScratch {
 /// exactly (reused groups perform no sort, so kReuse reports less sorting
 /// work — that reduction is the point; kVerify re-sorts everything and
 /// therefore matches render_gstg's counters bit-for-bit).
-///
-/// Under a non-exact GsTgConfig::pipeline (kSortless / kVerify) nothing
-/// sorts, so the cross-frame cache is bypassed cleanly: it is never
-/// snapshotted or consulted, TemporalStats stay zero, and frames match the
-/// plain Renderer's sortless output bit-for-bit. Combining a sortless
-/// pipeline with temporal kVerify is rejected by GsTgConfig::validate().
 class TemporalRenderer {
  public:
   /// Validates the configuration and resolves the temporal mode: the

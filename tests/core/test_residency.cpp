@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 
 #include "common/runconfig.h"
 #include "core/renderer.h"
@@ -174,9 +175,9 @@ TEST(Residency, EnvOverrideSelectsTheMode) {
   EXPECT_EQ(residency_mode_from_env(ResidencyMode::kCompressed), ResidencyMode::kVerify);
   ASSERT_EQ(setenv("GSTG_RESIDENCY", "compressed", 1), 0);
   EXPECT_EQ(residency_mode_from_env(ResidencyMode::kFloat32), ResidencyMode::kCompressed);
-  // Unknown values are ignored (with a one-time warning), unset falls back.
+  // Unknown values are a typed error, unset falls back.
   ASSERT_EQ(setenv("GSTG_RESIDENCY", "bogus", 1), 0);
-  EXPECT_EQ(residency_mode_from_env(ResidencyMode::kVerify), ResidencyMode::kVerify);
+  EXPECT_THROW((void)residency_mode_from_env(ResidencyMode::kVerify), std::invalid_argument);
   ASSERT_EQ(unsetenv("GSTG_RESIDENCY"), 0);
   EXPECT_EQ(residency_mode_from_env(ResidencyMode::kFloat32), ResidencyMode::kFloat32);
 }

@@ -78,6 +78,18 @@ TEST(ChannelPsnr, KnownUniformError) {
   EXPECT_TRUE(std::isinf(p.b));
 }
 
+TEST(ImageQuality, ConstantOffsetHasAnalyticPsnr) {
+  // Every channel differs by exactly 0.1, so MSE = 0.01 against peak 1.0:
+  // PSNR = 10 log10(1 / 0.01) = 20 dB.
+  Framebuffer a(32, 32), b(32, 32);
+  for (Vec3& p : a.pixels()) p = {0.5f, 0.5f, 0.5f};
+  for (Vec3& p : b.pixels()) p = {0.6f, 0.6f, 0.6f};
+  EXPECT_NEAR(psnr(a, b), 20.0, 1e-4);
+  const double s = ssim(a, b);
+  EXPECT_LT(s, 1.0);
+  EXPECT_GE(s, -1.0);
+}
+
 TEST(ChannelPsnr, SizeMismatchThrows) {
   Framebuffer a(32, 32), b(16, 16);
   EXPECT_THROW(channel_psnr(a, b), std::invalid_argument);

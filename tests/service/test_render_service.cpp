@@ -280,48 +280,32 @@ TEST(RenderService, InvalidRequestsResolveWithTypedErrors) {
   EXPECT_EQ(stats.requests_completed, 1u);
 }
 
-TEST(RenderService, FastTierRendersSortlessAndPassesVerifyGate) {
-  const ServiceConfig config = small_service_config();  // verify gate on
+TEST(RenderService, RetiredFastTierIsATypedRejection) {
+  const ServiceConfig config = small_service_config();
   RenderService service(config, fixed_cloud_loader());
   const GaussianCloud cloud = fixed_cloud_loader()("scene");
-  const Camera camera = make_camera(112, 80);
+  const Camera camera = make_camera(64, 48);
 
-  RenderRequest request{"scene", camera, 0};
-  request.fast_tier = true;
-  RenderResponse response = service.submit(request).get();
-  ASSERT_TRUE(response.ok()) << response.error;
+  // Stateless or in a session stream: the retired flag is rejected with a
+  // typed error naming it, never silently rendered through the exact path.
+  for (const std::uint64_t session : {std::uint64_t{0}, std::uint64_t{9}}) {
+    RenderRequest request{"scene", camera, session};
+    request.fast_tier = true;
+    const RenderResponse rejected = service.submit(request).get();
+    EXPECT_EQ(rejected.status, ServiceStatus::kInvalidRequest) << "session " << session;
+    EXPECT_NE(rejected.error.find("fast_tier"), std::string::npos) << rejected.error;
+  }
+  EXPECT_EQ(service.stats().requests_rejected, 2u);
 
-  // Bit-identical to a one-shot render under the same sortless config, and
-  // structurally sortless: zero sort pairs in the shipped counters.
-  GsTgConfig reference = config.render;
-  reference.temporal = TemporalMode::kOff;
-  reference.pipeline = PipelineMode::kSortless;
-  const RenderResult oneshot = render_gstg(cloud, camera, reference);
-  EXPECT_EQ(max_abs_diff(oneshot.image, response.image), 0.0f);
-  EXPECT_EQ(response.counters.sort_pairs, 0u);
-
-  // Lossy by design: the fast tier differs from the exact tier's image.
-  const Framebuffer exact = sequential_reference(cloud, camera, config);
-  EXPECT_GT(max_abs_diff(exact, response.image), 0.0f);
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.fast_tier_completed, 1u);
-  EXPECT_EQ(stats.verify_mismatches, 0u);
-}
-
-TEST(RenderService, FastTierWithSessionIsATypedRejection) {
-  RenderService service(small_service_config(), fixed_cloud_loader());
-
-  RenderRequest request{"scene", make_camera(64, 48), 9};
-  request.fast_tier = true;
-  RenderResponse rejected = service.submit(request).get();
-  EXPECT_EQ(rejected.status, ServiceStatus::kInvalidRequest);
-  EXPECT_NE(rejected.error.find("fast_tier"), std::string::npos);
-  EXPECT_EQ(service.stats().requests_rejected, 1u);
-
-  // The same request without the session stream is served.
-  request.session = 0;
-  EXPECT_TRUE(service.submit(request).get().ok());
+  // The service keeps serving: the same requests without the flag render
+  // exact, bit-identical to the sequential reference.
+  for (const std::uint64_t session : {std::uint64_t{0}, std::uint64_t{9}}) {
+    const RenderResponse served = service.submit(RenderRequest{"scene", camera, session}).get();
+    ASSERT_TRUE(served.ok()) << served.error;
+    EXPECT_EQ(max_abs_diff(served.image, sequential_reference(cloud, camera, config)), 0.0f);
+  }
+  EXPECT_EQ(service.stats().requests_completed, 2u);
+  EXPECT_EQ(service.stats().verify_mismatches, 0u);
 }
 
 TEST(RenderService, BrokenSceneIsATypedPerClientError) {
@@ -413,6 +397,22 @@ TEST(RenderService, ServiceEnvKnobsRejectMalformedValues) {
   ASSERT_EQ(setenv("GSTG_SERVICE_QUEUE", "8", 1), 0);
   EXPECT_EQ(ServiceConfig{}.resolved().queue_capacity, 8u);
   ASSERT_EQ(unsetenv("GSTG_SERVICE_QUEUE"), 0);
+}
+
+TEST(RenderService, MisspelledModeEnvFailsConstructionNotWorkers) {
+  // Run-mode overrides are resolved on the caller's thread, so a typo is a
+  // typed constructor error rather than a throw inside a worker thread.
+  for (const char* name : {"GSTG_TEMPORAL", "GSTG_BINNING", "GSTG_RESIDENCY", "GSTG_SIMD"}) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(setenv(name, "bogus", 1), 0);
+    EXPECT_THROW((void)ServiceConfig{}.resolved(), std::invalid_argument);
+    EXPECT_THROW({ RenderService service(small_service_config(), fixed_cloud_loader()); },
+                 std::invalid_argument);
+    ASSERT_EQ(unsetenv(name), 0);
+  }
+  ASSERT_EQ(setenv("GSTG_BINNING", "flat", 1), 0);
+  EXPECT_EQ(ServiceConfig{}.resolved().render.binning, BinningMode::kFlat);
+  ASSERT_EQ(unsetenv("GSTG_BINNING"), 0);
 }
 
 TEST(ServiceStatus, NamesAreStable) {
