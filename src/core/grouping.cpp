@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/parallel.h"
 #include "render/rasterize.h"
 #include "render/simd_kernels.h"
+#include "render/sort.h"
 #include "telemetry/trace.h"
 
 namespace gstg {
@@ -91,7 +91,7 @@ void generate_bitmasks_into(std::span<const ProjectedSplat> splats,
       }
     }
     tests.fetch_add(local_tests, std::memory_order_relaxed);
-  }, config.threads);
+  }, config.threads, cell_grain(groups, config.threads));
 
   counters.bitmask_tests += tests.load();
 }
@@ -99,7 +99,6 @@ void generate_bitmasks_into(std::span<const ProjectedSplat> splats,
 void sort_group_entries(std::uint32_t* ids, TileMask* masks, std::size_t n,
                         std::span<const ProjectedSplat> splats, SortAlgo algo, int key_bits,
                         int index_bits, SortWorkerScratch& ws) {
-  ws.pairs += n;
   if (n <= 1) return;
 
   // Packed (depth_bits, index) keys order exactly as the old comparator.
@@ -116,11 +115,9 @@ void sort_group_entries(std::uint32_t* ids, TileMask* masks, std::size_t n,
   }
   if (use_radix_sort(algo, n)) {
     radix_sort_pairs(ws.items, ws.items_tmp, n, key_bits);
-    ws.volume += static_cast<double>(n) * radix_pass_count(key_bits);
   } else {
     std::sort(ws.items.begin(), ws.items.begin() + static_cast<std::ptrdiff_t>(n),
               [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-    ws.volume += static_cast<double>(n) * std::log2(static_cast<double>(n));
   }
   for (std::size_t k = 0; k < n; ++k) {
     const std::uint64_t value = ws.items[k].value;
@@ -137,12 +134,12 @@ void sort_groups(BinnedSplats& group_bins, std::vector<TileMask>& masks,
   }
   const std::size_t groups = static_cast<std::size_t>(group_bins.grid.cell_count());
 
-  // Per-worker accumulator slots sized from the exact worker count so
-  // indices can never alias (the double merge order stays fixed).
+  // Per-worker buffers sized from the exact worker count so indices can
+  // never alias.
   const std::size_t workers = planned_worker_count(groups, threads);
   SortScratch local_scratch;
   SortScratch& s = scratch != nullptr ? *scratch : local_scratch;
-  s.prepare(workers);
+  s.prepare(workers, group_bins.max_cell_size());
 
   // Compact the key's index half to its true width so the radix path runs
   // the minimum number of passes (depth always needs its full 32 bits).
@@ -160,12 +157,9 @@ void sort_groups(BinnedSplats& group_bins, std::vector<TileMask>& masks,
       sort_group_entries(group_bins.splat_ids.data() + begin, masks.data() + begin, end - begin,
                          splats, algo, key_bits, index_bits, ws);
     }
-  }, threads);
+  }, threads, cell_grain(groups, threads));
 
-  for (std::size_t w = 0; w < workers; ++w) {
-    counters.sort_comparison_volume += s.workers[w].volume;
-    counters.sort_pairs += s.workers[w].pairs;
-  }
+  account_cell_sorts(group_bins, algo, key_bits, counters);
 }
 
 void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat> splats,
@@ -185,7 +179,7 @@ void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat
   const std::size_t workers = planned_worker_count(tiles, threads);
   RasterScratch local_scratch;
   RasterScratch& rs = scratch != nullptr ? *scratch : local_scratch;
-  if (rs.workers.size() < workers) rs.workers.resize(workers);
+  rs.prepare(workers, tile_grid.max_cell_pixels(), frame.group_bins.max_cell_size());
 
   struct WorkerStats {
     TileRasterStats raster;
@@ -229,7 +223,7 @@ void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat
     list_work.fetch_add(local.raster.pixel_list_work, std::memory_order_relaxed);
     pixels.fetch_add(local.raster.pixels, std::memory_order_relaxed);
     checks.fetch_add(local.filter_checks, std::memory_order_relaxed);
-  }, threads);
+  }, threads, cell_grain(tiles, threads));
 
   counters.alpha_computations += alpha.load();
   counters.blend_ops += blends.load();

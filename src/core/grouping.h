@@ -68,24 +68,14 @@ void sort_groups(BinnedSplats& group_bins, std::vector<TileMask>& masks,
 /// Sorts one group's entry range ids[0..n) / masks[0..n) in place by the
 /// packed (depth, index) key — the single per-group sort both sort_groups
 /// and the temporal renderer's fallback path call, so a re-sorted group is
-/// bit-identical whichever caller ran it. Accounts the group into
-/// ws.pairs / ws.volume exactly as sort_groups always has (pairs for every
-/// entry, volume only when n >= 2). `key_bits`/`index_bits` come from
-/// depth_index_key_bits over the frame's maximum splat index.
+/// bit-identical whichever caller ran it. Callers account the sort with
+/// sort_volume (render/sort_keys.h) after their parallel region.
+/// `key_bits`/`index_bits` come from depth_index_key_bits over the frame's
+/// maximum splat index.
 GSTG_HOT_NOALLOC
 void sort_group_entries(std::uint32_t* ids, TileMask* masks, std::size_t n,
                         std::span<const ProjectedSplat> splats, SortAlgo algo, int key_bits,
                         int index_bits, SortWorkerScratch& ws);
-
-/// Reusable per-worker rasterization buffers for rasterize_grouped: the
-/// bitmask-filtered id list plus the tile kernel's blending scratch.
-struct RasterScratch {
-  struct Worker {
-    std::vector<std::uint32_t> filtered;
-    TileRasterScratch tile;
-  };
-  std::vector<Worker> workers;
-};
 
 /// Tile-wise rasterization over group-sorted lists: per tile, gathers the
 /// entries whose bitmask covers the tile (the RM's AND-filter) and runs the

@@ -53,7 +53,9 @@ struct GsTgConfig {
   /// and kVerify runs both preprocesses and throws ResidencyError unless
   /// the streamed splat stream is bit-identical to the up-front one.
   ResidencyMode residency = ResidencyMode::kCompressed;
-  std::size_t threads = 0;  ///< 0 = auto
+  /// Intra-frame workers; 0 = auto (GSTG_THREADS or hardware concurrency,
+  /// resolved once when a Renderer or TemporalRenderer is constructed).
+  std::size_t threads = 0;
   /// Starts the process-global trace collector (src/telemetry/trace.h) when
   /// a Renderer is constructed with this config. GSTG_TRACE=<path> does the
   /// same from the environment and additionally names the JSON written at

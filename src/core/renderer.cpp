@@ -12,6 +12,7 @@
 namespace gstg {
 
 Renderer::Renderer(const GsTgConfig& config) : config_(config) {
+  if (config_.threads == 0) config_.threads = worker_thread_count();
   config_.binning = binning_mode_from_env(config.binning);
   config_.residency = residency_mode_from_env(config.residency);
   config_.validate();
@@ -128,7 +129,7 @@ void Renderer::finish_frame(const Camera& camera, FrameContext& ctx, Timer& time
   ctx.times.preprocess_ms = timer.lap_ms();
 
   {
-    // Bitmask generation (sequential here; overlapped with sorting in HW).
+    // Bitmask generation (its own stage here; overlapped with sorting in HW).
     GSTG_SPAN("bitmask");
     generate_bitmasks_into(ctx.splats, ctx.frame.group_bins, ctx.frame.tile_grid, config_,
                            ctx.counters, ctx.frame.masks);

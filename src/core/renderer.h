@@ -61,7 +61,8 @@ struct FrameContext {
 class Renderer {
  public:
   /// Validates and captures the configuration (throws std::invalid_argument
-  /// on an invalid one, like render_gstg).
+  /// on an invalid one, like render_gstg). threads == 0 is resolved here,
+  /// once, so a malformed GSTG_THREADS throws from the constructor.
   explicit Renderer(const GsTgConfig& config);
 
   [[nodiscard]] const GsTgConfig& config() const { return config_; }

@@ -67,7 +67,9 @@ void flat_bin_splats_into(std::span<const ProjectedSplat> splats, const CellGrid
   const std::size_t cells = static_cast<std::size_t>(grid.cell_count());
 
   // Pass 1: per-cell counts (and counter updates). The reusable plain-int
-  // scratch array is raced on through std::atomic_ref.
+  // scratch array is raced on through std::atomic_ref. Both splat passes
+  // keep the default grain (one contiguous range per worker): interleaved
+  // chunks would make workers contend on the same cells' counters.
   cell_counts.assign(cells, 0);
   std::atomic<std::size_t> tests{0}, pairs{0}, multi{0};
 
@@ -354,7 +356,7 @@ void hierarchical_bin_splats_into(std::span<const ProjectedSplat> splats, const 
       }
     }
     tests.fetch_add(local_tests, std::memory_order_relaxed);
-  }, threads);
+  }, threads, cell_grain(coarse_cells, threads));
 
   // Fine CSR + scatter: cursors again owned per coarse cell, no atomics.
   const std::uint32_t total = csr_offsets_from_counts(fine_counts, out.offsets);
@@ -379,7 +381,7 @@ void hierarchical_bin_splats_into(std::span<const ProjectedSplat> splats, const 
         }
       }
     }
-  }, threads);
+  }, threads, cell_grain(coarse_cells, threads));
 
   // Counter reduction: pairs come from the CSR total, multi-tile splats
   // from the per-splat hit accumulator (hits arrived from several coarse
@@ -430,7 +432,7 @@ void verify_bin_splats_into(std::span<const ProjectedSplat> splats, const CellGr
       std::sort(scratch.sorted_a.begin() + b, scratch.sorted_a.begin() + e, canonical_less);
       std::sort(scratch.sorted_b.begin() + b, scratch.sorted_b.begin() + e, canonical_less);
     }
-  }, threads);
+  }, threads, cell_grain(cells, threads));
 
   if (scratch.sorted_a != scratch.sorted_b) {
     for (std::size_t c = 0; c < cells; ++c) {

@@ -42,6 +42,7 @@
 // discarded).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -94,6 +95,11 @@ struct CellGrid {
 
   [[nodiscard]] int cell_count() const { return cells_x * cells_y; }
   [[nodiscard]] int cell_index(int cx, int cy) const { return cy * cells_x + cx; }
+  /// Pixels of the largest cell: cell_size squared, clipped to the image.
+  [[nodiscard]] std::size_t max_cell_pixels() const {
+    return static_cast<std::size_t>(std::min(cell_size, image_width)) *
+           static_cast<std::size_t>(std::min(cell_size, image_height));
+  }
 };
 
 /// CSR lists: splats_of_cell(c) = splat_ids[offsets[c] .. offsets[c+1]).
@@ -108,6 +114,14 @@ struct BinnedSplats {
   }
   [[nodiscard]] std::size_t cell_size_of(int cell) const {
     return offsets[cell + 1] - offsets[cell];
+  }
+  /// Length of the longest cell list (0 when there are no cells).
+  [[nodiscard]] std::size_t max_cell_size() const {
+    std::size_t longest = 0;
+    for (std::size_t c = 0; c + 1 < offsets.size(); ++c) {
+      longest = std::max<std::size_t>(longest, offsets[c + 1] - offsets[c]);
+    }
+    return longest;
   }
 };
 

@@ -9,7 +9,10 @@
 namespace gstg {
 
 RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
-                             const RenderConfig& config) {
+                             const RenderConfig& requested) {
+  // One GSTG_THREADS read per call, not one per stage.
+  RenderConfig config = requested;
+  if (config.threads == 0) config.threads = worker_thread_count();
   RenderResult result{Framebuffer(camera.width(), camera.height()), {}, {}};
   Timer timer;
 

@@ -1,5 +1,7 @@
 #include "render/preprocess.h"
 
+#include <algorithm>
+
 #include "common/parallel.h"
 #include "render/simd_kernels.h"
 #include "telemetry/trace.h"
@@ -42,7 +44,7 @@ void preprocess_into(const GaussianCloud& cloud, const Camera& camera,
   parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi, std::size_t) {
     GSTG_SPAN("preprocess_chunk");
     kernels.preprocess_chunk(args, lo, hi);
-  }, config.threads);
+  }, config.threads, kPreprocessGrain);
 
   out.clear();
   out.reserve(n);
@@ -65,11 +67,18 @@ void preprocess_compressed_into(const CompressedCloud& cloud, const Camera& came
   keep.assign(n, 0);
 
   // One chunk cloud per worker index, sized before the parallel region so
-  // the workers never touch the vector-of-clouds structure itself. The
-  // chunk vectors grow to kDecodeBlock capacity on the first frame and are
-  // reused thereafter (zero steady-state allocations).
+  // the workers never touch the vector-of-clouds structure itself. Each is
+  // warmed to a full block here, not by its first chunk: the pool may hand
+  // a chunk to a worker that got none in earlier frames, and the steady
+  // state must still allocate nothing.
   const std::size_t workers = planned_worker_count(n, config.threads);
   if (decode.chunks.size() < workers) decode.chunks.resize(workers);
+  const std::size_t block = std::min(n, kDecodeBlock);
+  for (std::size_t w = 0; w < workers; ++w) {
+    if (decode.chunks[w].positions().capacity() < block) {
+      cloud.decode_range(0, block, decode.chunks[w]);
+    }
+  }
 
   const SimdKernels& kernels = simd_kernels(resolve_simd_backend(config.simd.backend));
   const Vec3 cam_pos = camera.position();
@@ -80,9 +89,9 @@ void preprocess_compressed_into(const CompressedCloud& cloud, const Camera& came
     // Stream kDecodeBlock-sized blocks: decode into the worker's chunk
     // cloud, then run the kernel with chunk-local indices and slot/keep
     // pointers offset to the block's absolute position. Block starts are
-    // lane-aligned relative to the worker chunk (512 is a multiple of every
-    // lane width), so the masked partial lane block occurs exactly where
-    // the full-cloud path has it: at the worker-chunk end.
+    // lane-aligned relative to the chunk (512 is a multiple of every lane
+    // width), so the masked partial lane block occurs exactly where the
+    // full-cloud path has it: at the chunk end.
     for (std::size_t slo = lo; slo < hi; slo += kDecodeBlock) {
       const std::size_t send = slo + kDecodeBlock < hi ? slo + kDecodeBlock : hi;
       cloud.decode_range(slo, send, chunk);
@@ -102,7 +111,7 @@ void preprocess_compressed_into(const CompressedCloud& cloud, const Camera& came
         if (keep[i]) slots[i].index = static_cast<std::uint32_t>(i);
       }
     }
-  }, config.threads);
+  }, config.threads, kPreprocessGrain);
 
   out.clear();
   out.reserve(n);

@@ -58,6 +58,11 @@ struct DecodeScratch {
 /// makes the streamed decode bit-identical to the up-front decode.
 inline constexpr std::size_t kDecodeBlock = 512;
 
+/// Gaussians per scheduled preprocess chunk (the parallel_for_chunks grain of
+/// both preprocess paths): four decode blocks, so every chunk starts
+/// block- and lane-aligned while the pool balances the load.
+inline constexpr std::size_t kPreprocessGrain = 4 * kDecodeBlock;
+
 /// preprocess_into over the compressed resident form: per worker, decodes
 /// kDecodeBlock-Gaussian blocks into `decode` scratch and runs the same
 /// SIMD projection kernels over them. Output (splats, order, counters) is

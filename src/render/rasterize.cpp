@@ -1,8 +1,8 @@
 #include "render/rasterize.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
-#include <vector>
 
 #include "common/parallel.h"
 #include "render/simd_kernels.h"
@@ -29,7 +29,7 @@ TileRasterStats rasterize_tile(std::span<const ProjectedSplat> splats,
 
 void rasterize_all(const BinnedSplats& bins, std::span<const ProjectedSplat> splats,
                    Framebuffer& fb, std::size_t threads, RenderCounters& counters,
-                   SimdPolicy simd) {
+                   SimdPolicy simd, RasterScratch* scratch) {
   const CellGrid& grid = bins.grid;
   const std::size_t cells = static_cast<std::size_t>(grid.cell_count());
 
@@ -37,14 +37,17 @@ void rasterize_all(const BinnedSplats& bins, std::span<const ProjectedSplat> spl
   // concrete backend for every worker.
   const SimdPolicy resolved{resolve_simd_backend(simd.backend)};
 
-  // Per-worker stat slots sized from the exact worker count (no aliasing),
-  // merged in worker order after the join.
+  // Per-worker blending buffers sized from the exact worker count; the
+  // stats are plain integers, so they merge through atomics.
   const std::size_t workers = planned_worker_count(cells, threads);
-  std::vector<TileRasterStats> per_worker(workers);
+  RasterScratch local_scratch;
+  RasterScratch& rs = scratch != nullptr ? *scratch : local_scratch;
+  rs.prepare(workers, grid.max_cell_pixels(), 0);
+  std::atomic<std::size_t> alpha{0}, blends{0}, exits{0}, list_work{0}, pixels{0};
 
   parallel_for_chunks(0, cells, [&](std::size_t lo, std::size_t hi, std::size_t worker) {
     TileRasterStats local;
-    TileRasterScratch scratch;
+    TileRasterScratch& tile = rs.workers[worker].tile;
     for (std::size_t c = lo; c < hi; ++c) {
       const int cx = static_cast<int>(c) % grid.cells_x;
       const int cy = static_cast<int>(c) / grid.cells_x;
@@ -53,18 +56,20 @@ void rasterize_all(const BinnedSplats& bins, std::span<const ProjectedSplat> spl
       const int x1 = std::min(x0 + grid.cell_size, grid.image_width);
       const int y1 = std::min(y0 + grid.cell_size, grid.image_height);
       local.accumulate(rasterize_tile(splats, bins.cell_list(static_cast<int>(c)), x0, y0, x1,
-                                      y1, fb, scratch, resolved));
+                                      y1, fb, tile, resolved));
     }
-    per_worker[worker].accumulate(local);
-  }, threads);
+    alpha.fetch_add(local.alpha_computations, std::memory_order_relaxed);
+    blends.fetch_add(local.blend_ops, std::memory_order_relaxed);
+    exits.fetch_add(local.early_exit_pixels, std::memory_order_relaxed);
+    list_work.fetch_add(local.pixel_list_work, std::memory_order_relaxed);
+    pixels.fetch_add(local.pixels, std::memory_order_relaxed);
+  }, threads, cell_grain(cells, threads));
 
-  for (const TileRasterStats& s : per_worker) {
-    counters.alpha_computations += s.alpha_computations;
-    counters.blend_ops += s.blend_ops;
-    counters.early_exit_pixels += s.early_exit_pixels;
-    counters.pixel_list_work += s.pixel_list_work;
-    counters.total_pixels += s.pixels;
-  }
+  counters.alpha_computations += alpha.load();
+  counters.blend_ops += blends.load();
+  counters.early_exit_pixels += exits.load();
+  counters.pixel_list_work += list_work.load();
+  counters.total_pixels += pixels.load();
 }
 
 }  // namespace gstg

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/simd.h"
@@ -52,6 +53,15 @@ struct TileRasterScratch {
   std::vector<float> g;
   std::vector<float> b;
   std::vector<std::uint32_t> pixel;
+
+  /// Reserves room for blocks of up to `pixels` pixels at every lane width
+  /// (16 is a multiple of each), so the kernel never grows a warmed scratch
+  /// whichever tile the pool hands its worker.
+  void reserve(std::size_t pixels) {
+    const std::size_t cap = (pixels + 15) / 16 * 16;
+    for (std::vector<float>* v : {&px, &py, &transmittance, &r, &g, &b}) v->reserve(cap);
+    pixel.reserve(cap);
+  }
 };
 
 /// Rasterizes the depth-ordered splat sequence `order` into the pixel block
@@ -73,9 +83,35 @@ TileRasterStats rasterize_tile(std::span<const ProjectedSplat> splats,
                                int y1, Framebuffer& fb, TileRasterScratch& scratch,
                                SimdPolicy simd = {});
 
-/// Baseline full-image rasterization over per-tile sorted lists.
+/// Reusable per-worker rasterization buffers, one slot per parallel worker:
+/// the tile kernel's blending scratch plus, for GS-TG's rasterize_grouped
+/// (core/grouping.h), the bitmask-filtered id list.
+struct RasterScratch {
+  struct Worker {
+    std::vector<std::uint32_t> filtered;
+    TileRasterScratch tile;
+  };
+  std::vector<Worker> workers;
+
+  /// Ensures `worker_count` slots exist, each able to take a
+  /// `tile_pixels`-pixel tile and a `max_filtered`-entry filtered list
+  /// without growing: the pool hands tiles to workers dynamically, so every
+  /// slot must fit the largest for a warmed frame to allocate nothing.
+  void prepare(std::size_t worker_count, std::size_t tile_pixels, std::size_t max_filtered) {
+    if (workers.size() < worker_count) workers.resize(worker_count);
+    for (std::size_t w = 0; w < worker_count; ++w) {
+      workers[w].tile.reserve(tile_pixels);
+      workers[w].filtered.reserve(max_filtered);
+    }
+  }
+};
+
+/// Baseline full-image rasterization over per-tile sorted lists, one tile
+/// per scheduled chunk. `scratch` reuses per-worker buffers across frames
+/// (nullptr = self-contained call).
+GSTG_HOT_NOALLOC
 void rasterize_all(const BinnedSplats& bins, std::span<const ProjectedSplat> splats,
                    Framebuffer& fb, std::size_t threads, RenderCounters& counters,
-                   SimdPolicy simd = {});
+                   SimdPolicy simd = {}, RasterScratch* scratch = nullptr);
 
 }  // namespace gstg

@@ -1,8 +1,6 @@
 #include "render/sort.h"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
 
 #include "common/parallel.h"
 
@@ -13,13 +11,12 @@ void sort_cell_lists(BinnedSplats& bins, std::span<const ProjectedSplat> splats,
                      SortScratch* scratch) {
   const std::size_t cells = static_cast<std::size_t>(bins.grid.cell_count());
 
-  // Per-worker accumulators sized from the exact worker count, so a worker
-  // index can never alias another slot (doubles must merge in a fixed order
-  // for determinism; the integer totals ride along in the same slots).
+  // Per-worker buffers sized from the exact worker count, so a worker index
+  // can never alias another slot.
   const std::size_t workers = planned_worker_count(cells, threads);
   SortScratch local_scratch;
   SortScratch& s = scratch != nullptr ? *scratch : local_scratch;
-  s.prepare(workers);
+  s.prepare(workers, bins.max_cell_size());
 
   // Compact the key's index half to its true width so the radix path runs
   // the minimum number of passes (depth always needs its full 32 bits).
@@ -34,7 +31,6 @@ void sort_cell_lists(BinnedSplats& bins, std::span<const ProjectedSplat> splats,
       const std::uint32_t begin = bins.offsets[c];
       const std::uint32_t end = bins.offsets[c + 1];
       const std::size_t n = end - begin;
-      ws.pairs += n;
       if (n <= 1) continue;
 
       // Packed (depth_bits, index) keys order exactly as the comparator
@@ -47,22 +43,31 @@ void sort_cell_lists(BinnedSplats& bins, std::span<const ProjectedSplat> splats,
       }
       if (use_radix_sort(algo, n)) {
         radix_sort_pairs(ws.items, ws.items_tmp, n, key_bits);
-        ws.volume += static_cast<double>(n) * radix_pass_count(key_bits);
       } else {
         std::sort(ws.items.begin(), ws.items.begin() + static_cast<std::ptrdiff_t>(n),
                   [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-        ws.volume += static_cast<double>(n) * std::log2(static_cast<double>(n));
       }
       for (std::size_t k = 0; k < n; ++k) {
         bins.splat_ids[begin + k] = static_cast<std::uint32_t>(ws.items[k].value);
       }
     }
-  }, threads);
+  }, threads, cell_grain(cells, threads));
 
-  for (std::size_t w = 0; w < workers; ++w) {
-    counters.sort_comparison_volume += s.workers[w].volume;
-    counters.sort_pairs += s.workers[w].pairs;
+  account_cell_sorts(bins, algo, key_bits, counters);
+}
+
+void account_cell_sorts(const BinnedSplats& bins, SortAlgo algo, int key_bits,
+                        RenderCounters& counters) {
+  const std::size_t cells = static_cast<std::size_t>(bins.grid.cell_count());
+  double volume = 0.0;
+  std::size_t pairs = 0;
+  for (std::size_t c = 0; c < cells; ++c) {
+    const std::size_t n = bins.offsets[c + 1] - bins.offsets[c];
+    pairs += n;
+    volume += sort_volume(algo, n, key_bits);
   }
+  counters.sort_comparison_volume += volume;
+  counters.sort_pairs += pairs;
 }
 
 }  // namespace gstg

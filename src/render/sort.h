@@ -23,4 +23,11 @@ void sort_cell_lists(BinnedSplats& bins, std::span<const ProjectedSplat> splats,
                      std::size_t threads, RenderCounters& counters,
                      SortAlgo algo = SortAlgo::kAuto, SortScratch* scratch = nullptr);
 
+/// Adds the accounting of sorting every cell list of `bins` under `algo`
+/// (key width `key_bits`) to `counters`: sort_pairs counts every entry,
+/// sort_comparison_volume sums sort_volume per list in cell order, so the
+/// double total is the same whichever worker sorted which list.
+void account_cell_sorts(const BinnedSplats& bins, SortAlgo algo, int key_bits,
+                        RenderCounters& counters);
+
 }  // namespace gstg

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 
 namespace gstg {
 
@@ -9,6 +10,13 @@ std::uint32_t depth_bits(float depth) { return std::bit_cast<std::uint32_t>(dept
 
 std::uint64_t pack_depth_index_key(float depth, std::uint32_t index, int index_bits) {
   return (static_cast<std::uint64_t>(depth_bits(depth)) << index_bits) | index;
+}
+
+double sort_volume(SortAlgo algo, std::size_t n, int key_bits) {
+  if (n <= 1) return 0.0;
+  const double entries = static_cast<double>(n);
+  return use_radix_sort(algo, n) ? entries * radix_pass_count(key_bits)
+                                 : entries * std::log2(entries);
 }
 
 namespace {

@@ -82,14 +82,25 @@ GSTG_HOT_NOALLOC
 void radix_sort_pairs(std::vector<KeyValue>& items, std::vector<KeyValue>& tmp, std::size_t n,
                       int key_bits);
 
-/// Reusable buffers for one worker's sorting: packed keys (cell-list path)
-/// and key/payload records (group path), plus the comparison-volume
-/// accumulator merged deterministically after the parallel region.
+/// Comparison-volume accounting of sorting one n-entry list under `algo`:
+/// n x radix passes on the radix path, n log2 n on the comparison path, 0
+/// when n <= 1 (nothing is sorted). The per-cell and per-group sorts sum it
+/// in cell/group order after their parallel region, so the double total
+/// does not depend on which worker sorted which list.
+[[nodiscard]] double sort_volume(SortAlgo algo, std::size_t n, int key_bits);
+
+/// Reusable buffers for one worker's sorting: key/payload records (both
+/// paths) and the group path's snapshot of the unsorted tile masks.
 struct SortWorkerScratch {
-  std::vector<std::uint64_t> keys, keys_tmp;
+  std::vector<std::uint64_t> keys;
   std::vector<KeyValue> items, items_tmp;
-  double volume = 0.0;
-  std::size_t pairs = 0;
+
+  /// Room to sort a `max_list`-entry list on either path without growing.
+  void reserve(std::size_t max_list) {
+    keys.reserve(max_list);
+    items.reserve(max_list);
+    items_tmp.reserve(max_list);
+  }
 };
 
 /// Per-frame sorting scratch: one slot per parallel worker, sized from
@@ -98,13 +109,13 @@ struct SortWorkerScratch {
 struct SortScratch {
   std::vector<SortWorkerScratch> workers;
 
-  /// Ensures `worker_count` slots exist and zeroes their accumulators.
-  void prepare(std::size_t worker_count) {
+  /// Ensures `worker_count` slots exist, each able to sort a
+  /// `max_list`-entry list without growing: the pool hands lists to workers
+  /// dynamically, so every slot must fit the longest one for a warmed frame
+  /// to allocate nothing.
+  void prepare(std::size_t worker_count, std::size_t max_list) {
     if (workers.size() < worker_count) workers.resize(worker_count);
-    for (SortWorkerScratch& w : workers) {
-      w.volume = 0.0;
-      w.pairs = 0;
-    }
+    for (std::size_t w = 0; w < worker_count; ++w) workers[w].reserve(max_list);
   }
 };
 

@@ -11,26 +11,41 @@ namespace gstg {
 
 namespace {
 
-/// Sizes the per-worker slots for this frame and zeroes the accumulators.
-/// The cloud-sized stamp/entry maps are (re)allocated only when the cloud
-/// size changes, so steady-state frames allocate nothing.
-void prepare_scratch(TemporalScratch& scratch, std::size_t workers, std::size_t cloud_size) {
+/// Sizes the per-worker slots and the per-group volumes for this frame and
+/// zeroes the accumulators. Every slot's staging arrays fit the longest
+/// group, since the pool may hand it to any worker; the cloud-sized
+/// stamp/entry maps are (re)allocated only when the cloud size changes. So
+/// steady-state frames allocate nothing.
+void prepare_scratch(TemporalScratch& scratch, std::size_t workers, std::size_t groups,
+                     std::size_t longest_group, std::size_t cloud_size, bool verify) {
   if (scratch.workers.size() < workers) scratch.workers.resize(workers);
+  scratch.group_volume.assign(groups, 0.0);
   for (TemporalScratch::Worker& w : scratch.workers) {
-    w.sort.volume = 0.0;
-    w.sort.pairs = 0;
     w.stats = {};
     if (w.stamp.size() != cloud_size) {
       w.stamp.assign(cloud_size, 0);
       w.entry_of.resize(cloud_size);
       w.epoch = 0;
     }
+    if (w.stayer_ids.size() < longest_group) {
+      w.stayer_ids.resize(longest_group);
+      w.stayer_masks.resize(longest_group);
+      w.stayer_keys.resize(longest_group);
+      w.joiner_ids.resize(longest_group);
+      w.joiner_masks.resize(longest_group);
+    }
+    if (verify && w.verify_ids.size() < longest_group) {
+      w.verify_ids.resize(longest_group);
+      w.verify_masks.resize(longest_group);
+    }
+    w.sort.reserve(longest_group);
   }
 }
 
 }  // namespace
 
 TemporalRenderer::TemporalRenderer(const GsTgConfig& config) : config_(config) {
+  if (config_.threads == 0) config_.threads = worker_thread_count();
   config_.temporal = temporal_mode_from_env(config.temporal);
   config_.binning = binning_mode_from_env(config.binning);
   config_.validate();
@@ -141,7 +156,7 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
   const bool verify = config_.temporal == TemporalMode::kVerify;
 
   const std::size_t workers = planned_worker_count(groups, config_.threads);
-  prepare_scratch(scratch_, workers, cloud_size);
+  prepare_scratch(scratch_, workers, groups, bins.max_cell_size(), cloud_size, verify);
 
   parallel_for_chunks(0, groups, [&](std::size_t lo, std::size_t hi, std::size_t worker) {
     GSTG_SPAN("temporal_cache_walk");
@@ -154,7 +169,6 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
       ++ws.stats.groups_total;
       if (n <= 1) {
         ++ws.stats.groups_trivial;
-        ws.sort.pairs += n;
         continue;
       }
 
@@ -171,12 +185,6 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
         const std::uint32_t ci = splats[bins.splat_ids[e]].index;
         ws.stamp[ci] = fresh;
         ws.entry_of[ci] = e;
-      }
-
-      if (ws.stayer_ids.size() < n) {
-        ws.stayer_ids.resize(n);
-        ws.stayer_masks.resize(n);
-        ws.stayer_keys.resize(n);
       }
 
       // Validity walk along the cached order: splats that left the group
@@ -218,6 +226,7 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
       if (!order_ok || stayers == 0) {
         sort_group_entries(bins.splat_ids.data() + begin, masks.data() + begin, n, splats,
                            config_.sort_algo, key_bits, index_bits, ws.sort);
+        scratch_.group_volume[g] = sort_volume(config_.sort_algo, n, key_bits);
         ++ws.stats.groups_resorted;
         ws.stats.pairs_sorted += n;
         continue;
@@ -225,10 +234,6 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
 
       // Gather and sort the joiners (entries not promoted to `stayer`).
       const std::size_t joiners = n - stayers;
-      if (ws.joiner_ids.size() < joiners) {
-        ws.joiner_ids.resize(joiners);
-        ws.joiner_masks.resize(joiners);
-      }
       std::size_t j = 0;
       for (std::uint32_t e = begin; e < end && j < joiners; ++e) {
         const std::uint32_t ci = splats[bins.splat_ids[e]].index;
@@ -237,22 +242,12 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
         ws.joiner_masks[j] = masks[e];
         ++j;
       }
-      if (verify) {
-        // The verify full sort below carries the counter accounting, so the
-        // joiner sort goes through the throwaway scratch — kVerify's
-        // sort_pairs/volume match a plain per-frame run exactly.
-        sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
-                           config_.sort_algo, key_bits, index_bits, ws.aux);
-      } else {
-        sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
-                           config_.sort_algo, key_bits, index_bits, ws.sort);
-        ws.sort.pairs += stayers;  // sort_pairs counts all entries, sorted or reused
-      }
+      sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
+                         config_.sort_algo, key_bits, index_bits, ws.sort);
+      // kVerify accounts its full re-sort below instead of the joiner sort,
+      // so its volume matches a plain per-frame run exactly.
+      scratch_.group_volume[g] = sort_volume(config_.sort_algo, verify ? n : joiners, key_bits);
 
-      if (verify && ws.verify_ids.size() < n) {
-        ws.verify_ids.resize(n);
-        ws.verify_masks.resize(n);
-      }
       if (verify) {
         // Audit snapshot of the unsorted entries, taken before the merge
         // overwrites them.
@@ -313,14 +308,16 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
       ws.stats.pairs_reused += stayers;
       ws.stats.pairs_sorted += joiners;
     }
-  }, config_.threads);
+  }, config_.threads, cell_grain(groups, config_.threads));
 
-  // Deterministic merges, worker order fixed (same contract as sort_groups).
-  for (std::size_t w = 0; w < workers; ++w) {
-    ctx.counters.sort_comparison_volume += scratch_.workers[w].sort.volume;
-    ctx.counters.sort_pairs += scratch_.workers[w].sort.pairs;
-    last_.merge(scratch_.workers[w].stats);
-  }
+  // The stats are integer counts, so their merge order does not matter;
+  // the volume is reduced in group order, independent of the schedule.
+  // sort_pairs counts every entry, sorted or reused.
+  double volume = 0.0;
+  for (std::size_t g = 0; g < groups; ++g) volume += scratch_.group_volume[g];
+  ctx.counters.sort_comparison_volume += volume;
+  ctx.counters.sort_pairs += bins.splat_ids.size();
+  for (std::size_t w = 0; w < workers; ++w) last_.merge(scratch_.workers[w].stats);
 }
 
 void TemporalRenderer::snapshot_cache(const GroupedFrame& frame,

@@ -52,7 +52,6 @@ struct GroupSortCache {
 struct TemporalScratch {
   struct Worker {
     SortWorkerScratch sort;
-    SortWorkerScratch aux;  ///< kVerify joiner sorts (accounting discarded)
     std::vector<std::uint32_t> stamp;     ///< per cloud index: epoch of last marking
     std::vector<std::uint32_t> entry_of;  ///< per cloud index: entry position when stamped
     std::uint32_t epoch = 0;
@@ -66,6 +65,9 @@ struct TemporalScratch {
     TemporalStats stats;
   };
   std::vector<Worker> workers;
+  /// Per group: the sort volume the walk accounted, reduced in group order
+  /// after the join so the double total is schedule-independent.
+  std::vector<double> group_volume;
 };
 
 /// A persistent renderer with the cross-frame group-sort cache. Unlike
@@ -80,8 +82,9 @@ struct TemporalScratch {
 /// therefore matches render_gstg's counters bit-for-bit).
 class TemporalRenderer {
  public:
-  /// Validates the configuration and resolves the temporal mode: the
-  /// GSTG_TEMPORAL environment override wins over config.temporal.
+  /// Validates the configuration and resolves the temporal mode (the
+  /// GSTG_TEMPORAL environment override wins over config.temporal) and
+  /// threads == 0 (GSTG_THREADS, read once here).
   explicit TemporalRenderer(const GsTgConfig& config);
 
   [[nodiscard]] const GsTgConfig& config() const { return config_; }

@@ -14,34 +14,12 @@
 
 #include "common/runconfig.h"
 #include "common/simd.h"
+#include "env_guard.h"
 
 namespace gstg {
 namespace {
 
-/// Restores one environment variable on scope exit, so a failing test
-/// cannot leak a malformed value into the rest of the suite.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    const char* current = std::getenv(name);
-    had_value_ = current != nullptr;
-    if (had_value_) old_value_ = current;
-  }
-  ~EnvGuard() {
-    if (had_value_) {
-      setenv(name_.c_str(), old_value_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-  void set(const char* value) { ASSERT_EQ(setenv(name_.c_str(), value, 1), 0); }
-  void unset() { ASSERT_EQ(unsetenv(name_.c_str()), 0); }
-
- private:
-  std::string name_;
-  bool had_value_ = false;
-  std::string old_value_;
-};
+using testutil::EnvGuard;
 
 /// The thrown message must name the variable and echo the value.
 void expect_env_error(const char* name, const char* value, std::size_t fallback = 3) {

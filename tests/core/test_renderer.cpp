@@ -11,6 +11,7 @@
 #include <new>
 
 #include "core/pipeline.h"
+#include "env_guard.h"
 #include "scene/scene.h"
 #include "test_helpers.h"
 
@@ -45,6 +46,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace gstg {
 namespace {
 
+using testutil::EnvGuard;
 using testutil::make_camera;
 using testutil::make_random_cloud;
 
@@ -117,18 +119,52 @@ TEST(Renderer, ContextReuseAcrossCamerasMatchesFreshContexts) {
 TEST(Renderer, SteadyStateAllocatesNothing) {
   const GaussianCloud cloud = make_random_cloud(700, 99);
   const Camera camera = make_camera();
-  GsTgConfig config;
-  config.threads = 1;  // worker threads would allocate their own state
+  // Multi-threaded frames run on the persistent pool, whose helpers exist
+  // after the warm-up, and every worker slot is sized for the largest cell,
+  // so no frame after the warm-up allocates whichever worker runs what.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    GsTgConfig config;
+    config.threads = threads;
+    const Renderer renderer(config);
+
+    FrameContext ctx;
+    renderer.render(cloud, camera, ctx);  // warm-up: grow every buffer
+    renderer.render(cloud, camera, ctx);
+
+    for (int frame = 0; frame < 3; ++frame) {
+      const std::size_t before = g_alloc_count.load();
+      renderer.render(cloud, camera, ctx);
+      const std::size_t after = g_alloc_count.load();
+      EXPECT_EQ(after - before, 0u) << "steady-state render allocated, threads=" << threads;
+    }
+  }
+}
+
+TEST(Renderer, ThreadsResolvedOnceAtConstruction) {
+  const GaussianCloud cloud = make_random_cloud(300, 5);
+  const Camera camera = make_camera(96, 64);
+  EnvGuard guard("GSTG_THREADS");
+  guard.set("3");
+  GsTgConfig config;  // threads = 0: auto
   const Renderer renderer(config);
+  EXPECT_EQ(renderer.config().threads, 3u);
 
+  // Frames never read the variable again.
+  guard.set("abc");
   FrameContext ctx;
-  renderer.render(cloud, camera, ctx);  // warm-up: grow every buffer
-  renderer.render(cloud, camera, ctx);
+  EXPECT_NO_THROW(renderer.render(cloud, camera, ctx));
 
-  const std::size_t before = g_alloc_count.load();
-  renderer.render(cloud, camera, ctx);
-  const std::size_t after = g_alloc_count.load();
-  EXPECT_EQ(after - before, 0u) << "steady-state render allocated";
+  // A malformed value throws from the constructor, naming the variable.
+  try {
+    const Renderer rejected(config);
+    ADD_FAILURE() << "GSTG_THREADS=abc should be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("GSTG_THREADS"), std::string::npos) << e.what();
+  }
+
+  // An explicit thread count never consults it.
+  config.threads = 2;
+  EXPECT_EQ(Renderer(config).config().threads, 2u);
 }
 
 TEST(RenderBatch, BitIdenticalToSequentialRenders) {

@@ -156,16 +156,21 @@ TEST(Residency, SteadyStateStreamedRenderAllocatesNothing) {
   // materialises and the per-worker block scratch is reused.
   const CompressedCloud compressed = CompressedCloud::encode(make_random_cloud(700, 99));
   const Camera camera = make_camera();
-  const Renderer renderer(config_with(ResidencyMode::kCompressed, /*threads=*/1));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const Renderer renderer(config_with(ResidencyMode::kCompressed, threads));
 
-  FrameContext ctx;
-  renderer.render(compressed, camera, ctx);  // warm-up: grow every buffer
-  renderer.render(compressed, camera, ctx);
+    FrameContext ctx;
+    renderer.render(compressed, camera, ctx);  // warm-up: grow every buffer
+    renderer.render(compressed, camera, ctx);
 
-  const std::size_t before = g_alloc_count.load();
-  renderer.render(compressed, camera, ctx);
-  const std::size_t after = g_alloc_count.load();
-  EXPECT_EQ(after - before, 0u) << "steady-state compressed render allocated";
+    for (int frame = 0; frame < 3; ++frame) {
+      const std::size_t before = g_alloc_count.load();
+      renderer.render(compressed, camera, ctx);
+      const std::size_t after = g_alloc_count.load();
+      EXPECT_EQ(after - before, 0u) << "steady-state compressed render allocated, threads="
+                                    << threads;
+    }
+  }
 }
 
 TEST(Residency, EnvOverrideSelectsTheMode) {

@@ -12,6 +12,7 @@
 #include "core/pipeline.h"
 #include "render/pipeline.h"
 #include "scene/scene.h"
+#include "temporal/temporal_renderer.h"
 
 namespace gstg {
 namespace {
@@ -91,6 +92,64 @@ TEST(Determinism, ThreadCountDoesNotChangeGsTgOutput) {
   const RenderResult b = render_gstg(cloud, cam, four);
   EXPECT_TRUE(bytes_identical(a.image, b.image));
   expect_identical_counters(a.counters, b.counters);
+}
+
+// The pool hands cells to workers dynamically, so which worker sorts or
+// rasterizes which cell changes with the thread count and from run to run.
+// Every counter — the double sort_comparison_volume included, compared with
+// EXPECT_EQ — must still come out identical at every thread count.
+TEST(Determinism, EveryCounterIdenticalAcrossThreadCounts) {
+  const Camera cam = make_camera(232, 168);
+  const GaussianCloud cloud = testutil::make_random_cloud(2500, 59);
+  GsTgConfig gstg;
+  gstg.threads = 1;
+  RenderConfig baseline;
+  baseline.threads = 1;
+  const RenderResult gstg_one = render_gstg(cloud, cam, gstg);
+  const RenderResult baseline_one = render_baseline(cloud, cam, baseline);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    gstg.threads = threads;
+    baseline.threads = threads;
+    const RenderResult gstg_n = render_gstg(cloud, cam, gstg);
+    const RenderResult baseline_n = render_baseline(cloud, cam, baseline);
+    EXPECT_TRUE(bytes_identical(gstg_one.image, gstg_n.image));
+    expect_identical_counters(gstg_one.counters, gstg_n.counters);
+    EXPECT_TRUE(bytes_identical(baseline_one.image, baseline_n.image));
+    expect_identical_counters(baseline_one.counters, baseline_n.counters);
+  }
+}
+
+TEST(Determinism, TemporalSequenceCountersIdenticalAcrossThreadCounts) {
+  const GaussianCloud cloud = testutil::make_random_cloud(2500, 61);
+  std::vector<Camera> cameras;
+  for (int f = 0; f < 5; ++f) {
+    const Vec3 eye{0.04f * static_cast<float>(f), 0.0f, -5.0f};
+    cameras.push_back(Camera::from_fov(232, 168, 1.2f, look_at(eye, {0.0f, 0.0f, 0.0f})));
+  }
+  for (const TemporalMode mode : {TemporalMode::kReuse, TemporalMode::kVerify}) {
+    GsTgConfig config;
+    config.temporal = mode;
+    config.threads = 1;
+    const TemporalSequenceResult one = render_sequence(cloud, cameras, config);
+    ASSERT_GT(one.total_stats.groups_reused + one.total_stats.groups_patched, 0u)
+        << "the sequence must exercise the reuse walk";
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(to_string(mode)) + " threads=" + std::to_string(threads));
+      config.threads = threads;
+      const TemporalSequenceResult many = render_sequence(cloud, cameras, config);
+      ASSERT_EQ(one.counters.size(), many.counters.size());
+      for (std::size_t f = 0; f < cameras.size(); ++f) {
+        EXPECT_TRUE(bytes_identical(one.images[f], many.images[f])) << "frame " << f;
+        expect_identical_counters(one.counters[f], many.counters[f]);
+        EXPECT_EQ(one.frame_stats[f].groups_reused, many.frame_stats[f].groups_reused);
+        EXPECT_EQ(one.frame_stats[f].groups_patched, many.frame_stats[f].groups_patched);
+        EXPECT_EQ(one.frame_stats[f].groups_resorted, many.frame_stats[f].groups_resorted);
+        EXPECT_EQ(one.frame_stats[f].pairs_reused, many.frame_stats[f].pairs_reused);
+        EXPECT_EQ(one.frame_stats[f].pairs_sorted, many.frame_stats[f].pairs_sorted);
+      }
+    }
+  }
 }
 
 TEST(Determinism, SeededCloudGenerationIsReproducible) {

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "common/parallel.h"
 #include "telemetry/trace.h"
 #include "test_helpers.h"
 
@@ -57,6 +58,34 @@ TEST(TraceAlloc, SteadyStateSpanRecordingDoesNotAllocate) {
   const std::size_t after = g_alloc_count.load();
   telemetry::TraceSession::global().stop();
   EXPECT_EQ(after - before, 0u) << "span recording allocated in the steady state";
+}
+
+// Each thread that records a span owns a ring that lives for the rest of
+// the process. Multi-threaded frames must reuse the pool's parked helpers
+// (one ring each) rather than spawn fresh threads, which registered ~2 new
+// rings per frame when every parallel stage started its own threads. The
+// bound is checked after every frame rather than as "no growth after frame
+// 2": a helper that claimed no chunk in the first frames registers its one
+// ring later, which is within the bound.
+TEST(TraceAlloc, MultiThreadedFramesReuseTheirThreadRings) {
+  telemetry::TraceSession::global().start();
+  const GaussianCloud cloud = make_random_cloud(700, 99);
+  const Camera camera = make_camera();
+  GsTgConfig config;
+  config.threads = 4;
+  const Renderer renderer(config);
+  const std::size_t rings_before = telemetry::TraceSession::global().stats().threads;
+
+  FrameContext ctx;
+  for (int frame = 1; frame <= 10; ++frame) {
+    renderer.render(cloud, camera, ctx);
+    // The calling thread plus the pool's helpers, and no more.
+    EXPECT_LE(telemetry::TraceSession::global().stats().threads,
+              rings_before + 1 + detail::pool_helper_count())
+        << "frame " << frame;
+  }
+  telemetry::TraceSession::global().stop();
+  EXPECT_LE(detail::pool_helper_count(), 3u) << "the pool grew past threads - 1 helpers";
 }
 
 TEST(TraceAlloc, WarmRendererFrameWithTracingOnDoesNotAllocate) {

@@ -11,6 +11,7 @@
 #include <new>
 
 #include "core/pipeline.h"
+#include "env_guard.h"
 #include "scene/scene.h"
 #include "temporal/camera_path.h"
 #include "test_helpers.h"
@@ -41,6 +42,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace gstg {
 namespace {
 
+using testutil::EnvGuard;
 using testutil::make_camera;
 using testutil::make_random_cloud;
 
@@ -267,16 +269,46 @@ TEST(TemporalRenderer, EnvOverrideSelectsTheMode) {
 TEST(TemporalRenderer, SteadyStateAllocatesNothing) {
   const GaussianCloud cloud = make_random_cloud(700, 77);
   const Camera camera = make_camera();
-  TemporalRenderer renderer(temporal_config(TemporalMode::kReuse, 1));
+  // threads = 4 runs on the persistent pool with every worker slot sized
+  // for the longest group, so the warm path allocates nothing either.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    TemporalRenderer renderer(temporal_config(TemporalMode::kReuse, threads));
 
+    FrameContext ctx;
+    renderer.render(cloud, camera, ctx);  // cold: grow every buffer + cache
+    renderer.render(cloud, camera, ctx);  // warm the reuse path's buffers
+
+    for (int frame = 0; frame < 3; ++frame) {
+      const std::size_t before = g_alloc_count.load();
+      renderer.render(cloud, camera, ctx);
+      const std::size_t after = g_alloc_count.load();
+      EXPECT_EQ(after - before, 0u) << "steady-state temporal render allocated, threads="
+                                    << threads;
+    }
+  }
+}
+
+TEST(TemporalRenderer, ThreadsResolvedOnceAtConstruction) {
+  const GaussianCloud cloud = make_random_cloud(300, 5);
+  const Camera camera = make_camera(96, 64);
+  EnvGuard guard("GSTG_THREADS");
+  guard.set("3");
+  TemporalRenderer renderer(temporal_config(TemporalMode::kReuse, 0));
+  EXPECT_EQ(renderer.config().threads, 3u);
+
+  // Frames never read the variable again.
+  guard.set("8garbage");
   FrameContext ctx;
-  renderer.render(cloud, camera, ctx);  // cold: grow every buffer + cache
-  renderer.render(cloud, camera, ctx);  // warm the reuse path's buffers
+  EXPECT_NO_THROW(renderer.render(cloud, camera, ctx));
+  EXPECT_NO_THROW(renderer.render(cloud, camera, ctx));
 
-  const std::size_t before = g_alloc_count.load();
-  renderer.render(cloud, camera, ctx);
-  const std::size_t after = g_alloc_count.load();
-  EXPECT_EQ(after - before, 0u) << "steady-state temporal render allocated";
+  // A malformed value throws from the constructor, naming the variable.
+  try {
+    const TemporalRenderer rejected(temporal_config(TemporalMode::kReuse, 0));
+    ADD_FAILURE() << "GSTG_THREADS=8garbage should be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("GSTG_THREADS"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

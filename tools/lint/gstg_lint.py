@@ -36,7 +36,7 @@ input, under the right sanitizer (see docs/ARCHITECTURE.md, "Static analysis
                                docs/CONFIG.md.
   R5  banned-api               No naked mutex .lock()/.unlock() and no
                                rand()/srand() in src/service or the hot TUs
-                               (src/render, src/core, common/parallel.h);
+                               (src/render, src/core, common/parallel.{h,cpp});
                                no std::function in the hot TUs (type-erased
                                calls have no place in render kernels) and
                                no std::exp there either (the raster kernels'
@@ -89,7 +89,7 @@ R2_EXEMPT_FILES = ("src/geometry/clamped_cast.h",)
 # its cache-loader API but must use RAII lock guards like everyone else.
 R5_SERVICE_DIRS = ("src/service",)
 R5_HOT_DIRS = ("src/render", "src/core")
-R5_HOT_FILES = ("src/common/parallel.h",)
+R5_HOT_FILES = ("src/common/parallel.h", "src/common/parallel.cpp")
 
 CPP_KEYWORDS = frozenset(
     """alignas alignof asm auto bool break case catch char class co_await co_return co_yield
