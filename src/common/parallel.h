@@ -8,9 +8,11 @@
 //
 // Scheduling: workers claim chunks of `grain` consecutive items from a
 // shared atomic cursor until the range is exhausted. cell_grain() balances
-// loops whose items vary widely in cost (tiles, groups, cells); grain = 0
-// selects ceil(n / workers), one contiguous chunk per worker, for passes
-// whose shared atomic counters contend when chunks interleave.
+// loops whose items vary widely in cost (tiles, groups, cells, and the
+// binning passes' splat chunks); grain = 0 selects ceil(n / workers), one
+// contiguous chunk per worker, for cheap uniform-cost passes (the global
+// sort's splat passes, the temporal cache snapshot) where more chunks would
+// only add cursor claims.
 //
 // Inline fallback: one region owns the pool at a time. A region that starts
 // while another caller owns it — a render_batch view worker, a service
@@ -51,13 +53,15 @@ inline std::size_t planned_worker_count(std::size_t n, std::size_t threads = 0) 
   return std::min(workers, n);
 }
 
-/// Grain for loops over grid cells (tiles, groups, coarse cells), whose
-/// costs differ by orders of magnitude: about eight contiguous chunks per
+/// Grain for loops over grid cells (tiles, groups), whose costs differ by
+/// orders of magnitude: about eight contiguous chunks per
 /// worker. That is enough chunks for the cursor to even out the costs, and
 /// each chunk keeps a run of neighbouring cells — and the splats they share
 /// — on one core (one cell per chunk measured ~5% slower in both rasters at
 /// 2 threads on a 4-vCPU x86 VM). Grids with fewer than eight cells per
-/// worker (the group grid) get one cell per chunk.
+/// worker (the group grid) get one cell per chunk. Binning uses the same
+/// grain over splats: its splat costs are just as uneven, because huge
+/// footprints cluster in index ranges.
 inline std::size_t cell_grain(std::size_t cells, std::size_t threads = 0) {
   return std::max<std::size_t>(1, cells / (8 * planned_worker_count(cells, threads)));
 }

@@ -5,7 +5,10 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+
+#include <unistd.h>
 
 #include "common/spelling_table.h"
 
@@ -23,13 +26,6 @@ constexpr Spelling<TemporalMode> kTemporalSpellings[] = {
     {"off", TemporalMode::kOff},
     {"reuse", TemporalMode::kReuse},
     {"verify", TemporalMode::kVerify},
-};
-
-constexpr Spelling<BinningMode> kBinningSpellings[] = {
-    {"flat", BinningMode::kFlat},
-    {"hierarchical", BinningMode::kHierarchical},
-    {"auto", BinningMode::kAuto},
-    {"verify", BinningMode::kVerify},
 };
 
 constexpr Spelling<ResidencyMode> kResidencySpellings[] = {
@@ -65,12 +61,6 @@ TemporalMode temporal_mode_from_env(TemporalMode fallback) {
 
 const char* to_string(TemporalMode mode) { return spelling_of(kTemporalSpellings, mode); }
 
-BinningMode binning_mode_from_env(BinningMode fallback) {
-  return env_spelling("GSTG_BINNING", kBinningSpellings, fallback);
-}
-
-const char* to_string(BinningMode mode) { return spelling_of(kBinningSpellings, mode); }
-
 ResidencyMode residency_mode_from_env(ResidencyMode fallback) {
   return env_spelling("GSTG_RESIDENCY", kResidencySpellings, fallback);
 }
@@ -98,6 +88,21 @@ std::size_t env_positive_size(const char* name, std::size_t fallback) {
                                 "' (expected a positive integer)");
   }
   return parsed;
+}
+
+void reject_unknown_gstg_env() {
+  for (char** entry = environ; entry != nullptr && *entry != nullptr; ++entry) {
+    const std::string_view assignment(*entry);
+    if (!assignment.starts_with("GSTG_")) continue;
+    const std::string_view name = assignment.substr(0, assignment.find('='));
+    bool known = false;
+    for (const char* var : kGstgEnvVars) known = known || name == var;
+    if (!known) {
+      throw std::invalid_argument(std::string(name) +
+                                  ": unknown GSTG_* environment variable (retired or "
+                                  "misspelled; see docs/CONFIG.md)");
+    }
+  }
 }
 
 std::size_t worker_thread_count() {

@@ -18,7 +18,6 @@ namespace gstg {
 /// (tools/lint/gstg_lint.py) enforces both, so a new knob cannot ship
 /// undocumented or unregistered. Keep the list sorted.
 inline constexpr const char* kGstgEnvVars[] = {
-    "GSTG_BINNING",           // binning_mode_from_env (flat/hierarchical/auto/verify)
     "GSTG_METRICS",           // telemetry: metrics JSON written at process exit
     "GSTG_RESIDENCY",         // residency_mode_from_env (float32/compressed/verify)
     "GSTG_SCALE",             // run_scale_from_env (bench/small/full)
@@ -56,6 +55,11 @@ RunScale run_scale_from_env();
 /// The GSTG_SCALE spelling of `scale`; "?" for divisors no spelling selects.
 [[nodiscard]] const char* to_string(const RunScale& scale);
 
+/// Throws std::invalid_argument naming the first GSTG_* variable of the
+/// process environment that kGstgEnvVars does not list: a retired or
+/// misspelled override must fail loudly instead of being silently ignored.
+void reject_unknown_gstg_env();
+
 /// Number of worker threads for the software pipelines (GSTG_THREADS or
 /// hardware_concurrency). A set-but-malformed GSTG_THREADS (non-numeric,
 /// trailing garbage, zero, negative) throws std::invalid_argument naming
@@ -90,27 +94,10 @@ TemporalMode temporal_mode_from_env(TemporalMode fallback);
 
 [[nodiscard]] const char* to_string(TemporalMode mode);
 
-/// Binning strategy of the tile/group identification pass
-/// (src/render/binning.h). Lives here, next to the other run modes, so the
-/// render config can carry the knob without a layering cycle.
-///   kFlat         — one boundary test per fine-cell candidate (the
-///                   original single-level pass)
-///   kHierarchical — coarse cells first, then expansion of the non-empty
-///                   coarse cells into the fine CSR lists; identical hit
-///                   sets, fewer boundary tests
-///   kAuto         — hierarchical on grids large enough to amortise the
-///                   coarse pass, flat otherwise (the default)
-///   kVerify       — hierarchical, plus a flat reference run asserting the
-///                   CSR output is bit-identical after the canonical
-///                   (depth, index) per-cell sort (the audit mode)
-enum class BinningMode : std::uint8_t { kFlat, kHierarchical, kAuto, kVerify };
-
-/// Reads GSTG_BINNING from the environment ("flat" / "hierarchical" /
-/// "auto" / "verify"). Unset returns `fallback`; any value but these throws
-/// (see common/spelling_table.h).
-BinningMode binning_mode_from_env(BinningMode fallback);
-
-[[nodiscard]] const char* to_string(BinningMode mode);
+/// Retired: binning has one strategy (src/render/binning.h). The type stays
+/// only because perfbench/workloads.cpp passes its config fields to
+/// bin_splats_into.
+enum class BinningMode : std::uint8_t { kFlat };
 
 /// Resident representation of the Gaussian cloud inside the renderer
 /// (gaussian/compressed.h). Lives here, next to the other run modes, so

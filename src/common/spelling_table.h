@@ -1,5 +1,5 @@
 // Table-driven parsing of the run-mode environment variables (GSTG_SCALE,
-// GSTG_SIMD, GSTG_TEMPORAL, GSTG_BINNING, GSTG_RESIDENCY). Each mode keeps
+// GSTG_SIMD, GSTG_TEMPORAL, GSTG_RESIDENCY). Each mode keeps
 // one {spelling, value} table that both its *_from_env parser and its
 // to_string read, so the accepted spellings and the printed names cannot
 // drift apart. Private to the common layer: callers use the *_from_env and

@@ -15,8 +15,7 @@ namespace gstg {
 BinnedSplats identify_groups(std::span<const ProjectedSplat> splats, const CellGrid& group_grid,
                              const GsTgConfig& config, RenderCounters& counters) {
   config.validate();
-  return bin_splats(splats, group_grid, config.group_boundary, config.threads, counters,
-                    config.binning);
+  return bin_splats(splats, group_grid, config.group_boundary, config.threads, counters);
 }
 
 std::vector<TileMask> generate_bitmasks(std::span<const ProjectedSplat> splats,

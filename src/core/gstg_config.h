@@ -39,13 +39,8 @@ struct GsTgConfig {
   /// pixel-exact — reuse only happens when the cached order is provably the
   /// sorted order, and kVerify re-sorts to audit that proof.
   TemporalMode temporal = TemporalMode::kOff;
-  /// Tile/group identification strategy (render/binning.h; GSTG_BINNING
-  /// overrides): flat, hierarchical coarse→fine, kAuto (hierarchical on
-  /// large grids — the default), or kVerify (hierarchical audited
-  /// bit-identical against flat). Applies to both the group identification
-  /// pass and the baseline comparison runs render_config() feeds; every
-  /// mode produces identical hit sets, so the lossless gate is unaffected.
-  BinningMode binning = BinningMode::kAuto;
+  /// Retired (binning has one strategy); kept only because perfbench names it.
+  BinningMode binning = BinningMode::kFlat;
   /// Resident-form policy of the compressed render path — only consulted by
   /// Renderer::render(const CompressedCloud&, ...) (GSTG_RESIDENCY
   /// overrides): kCompressed (the default) streams fp16 blocks through
@@ -54,7 +49,7 @@ struct GsTgConfig {
   /// the streamed splat stream is bit-identical to the up-front one.
   ResidencyMode residency = ResidencyMode::kCompressed;
   /// Intra-frame workers; 0 = auto (GSTG_THREADS or hardware concurrency,
-  /// resolved once when a Renderer or TemporalRenderer is constructed).
+  /// resolved once by resolved()).
   std::size_t threads = 0;
   /// Starts the process-global trace collector (src/telemetry/trace.h) when
   /// a Renderer is constructed with this config. GSTG_TRACE=<path> does the
@@ -75,7 +70,6 @@ struct GsTgConfig {
     rc.opacity_aware_rho = opacity_aware_rho;
     rc.sort_algo = sort_algo;
     rc.simd = simd;
-    rc.binning = binning;
     rc.threads = threads;
     return rc;
   }
@@ -85,6 +79,16 @@ struct GsTgConfig {
   /// the alignment that makes the method lossless).
   [[nodiscard]] int tiles_per_side() const { return group_size / tile_size; }
   [[nodiscard]] int tiles_per_group() const { return tiles_per_side() * tiles_per_side(); }
+
+  /// This config with the process environment applied — the one place the
+  /// env overrides are resolved; Renderer, TemporalRenderer and
+  /// ServiceConfig::resolved() all call it at construction. threads == 0
+  /// becomes worker_thread_count() (GSTG_THREADS), GSTG_TEMPORAL and
+  /// GSTG_RESIDENCY override their fields, GSTG_SIMD is parsed (the
+  /// kernels read it again per call), and validate() runs. Throws
+  /// std::invalid_argument on a malformed override, on any GSTG_* variable
+  /// kGstgEnvVars does not list, or on inconsistent values.
+  [[nodiscard]] GsTgConfig resolved() const;
 
   void validate() const {
     if (tile_size <= 0 || group_size <= 0) {

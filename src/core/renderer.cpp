@@ -11,11 +11,7 @@
 
 namespace gstg {
 
-Renderer::Renderer(const GsTgConfig& config) : config_(config) {
-  if (config_.threads == 0) config_.threads = worker_thread_count();
-  config_.binning = binning_mode_from_env(config.binning);
-  config_.residency = residency_mode_from_env(config.residency);
-  config_.validate();
+Renderer::Renderer(const GsTgConfig& config) : config_(config.resolved()) {
   telemetry::ensure_started_from_env();
   if (config_.trace) telemetry::ensure_collecting();
 }
@@ -124,7 +120,7 @@ void Renderer::finish_frame(const Camera& camera, FrameContext& ctx, Timer& time
   {
     GSTG_SPAN("binning");
     bin_splats_into(ctx.splats, ctx.frame.group_grid, config_.group_boundary, config_.threads,
-                    ctx.counters, ctx.frame.group_bins, ctx.binning, config_.binning);
+                    ctx.counters, ctx.frame.group_bins, ctx.binning);
   }
   ctx.times.preprocess_ms = timer.lap_ms();
 

@@ -60,9 +60,10 @@ struct FrameContext {
 /// many threads as long as each thread renders into its own FrameContext.
 class Renderer {
  public:
-  /// Validates and captures the configuration (throws std::invalid_argument
-  /// on an invalid one, like render_gstg). threads == 0 is resolved here,
-  /// once, so a malformed GSTG_THREADS throws from the constructor.
+  /// Captures config.resolved() (core/gstg_config.h): the environment
+  /// overrides are applied once here, so an invalid configuration or a
+  /// malformed or unknown GSTG_* variable throws std::invalid_argument from
+  /// the constructor.
   explicit Renderer(const GsTgConfig& config);
 
   [[nodiscard]] const GsTgConfig& config() const { return config_; }

@@ -21,8 +21,7 @@ RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
       preprocess(cloud, camera, config, result.counters);
   const CellGrid grid =
       CellGrid::over_image(camera.width(), camera.height(), config.tile_size);
-  BinnedSplats bins = bin_splats(splats, grid, config.boundary, config.threads, result.counters,
-                                 binning_mode_from_env(config.binning));
+  BinnedSplats bins = bin_splats(splats, grid, config.boundary, config.threads, result.counters);
   result.times.preprocess_ms = timer.lap_ms();
 
   // Tile-wise sorting.

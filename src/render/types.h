@@ -37,12 +37,8 @@ struct RenderConfig {
   /// (kAuto = widest verified, overridable via GSTG_SIMD). Images and
   /// counters are bit-identical whichever backend runs.
   SimdPolicy simd;
-  /// Tile-identification strategy (render/binning.h; GSTG_BINNING
-  /// overrides): flat single-level binning, the hierarchical coarse→fine
-  /// pass, kAuto (hierarchical on large grids — the default), or kVerify
-  /// (hierarchical audited bit-identical against flat). Every mode
-  /// produces identical per-cell hit sets.
-  BinningMode binning = BinningMode::kAuto;
+  /// Retired (binning has one strategy); kept only because perfbench names it.
+  BinningMode binning = BinningMode::kFlat;
   /// Worker threads (0 = auto).
   std::size_t threads = 0;
 };
@@ -101,8 +97,8 @@ struct RenderCounters {
   std::size_t visible_gaussians = 0;   ///< after frustum culling
   std::size_t boundary_tests = 0;      ///< tile/group-rect intersection tests
   std::size_t tile_pairs = 0;          ///< Σ over splats of intersected tiles
-  /// (splat, coarse-cell) records emitted by hierarchical binning — the
-  /// intermediate CSR volume of the two-level pass (zero when binning flat).
+  /// Retired with hierarchical binning, always 0; kept only because
+  /// perfbench compares it.
   std::size_t coarse_pairs = 0;
   std::size_t splats_multi_tile = 0;   ///< visible splats hitting >= 2 tiles
   std::size_t sort_pairs = 0;          ///< total entries across per-tile/group sort lists
@@ -147,7 +143,6 @@ struct RenderCounters {
     visible_gaussians += other.visible_gaussians;
     boundary_tests += other.boundary_tests;
     tile_pairs += other.tile_pairs;
-    coarse_pairs += other.coarse_pairs;
     splats_multi_tile += other.splats_multi_tile;
     sort_pairs += other.sort_pairs;
     sort_comparison_volume += other.sort_comparison_volume;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/runconfig.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "core/pipeline.h"
 #include "dataset/dataset.h"
@@ -85,13 +84,9 @@ ServiceConfig ServiceConfig::resolved() const {
   if (r.session_capacity == 0) {
     r.session_capacity = env_positive_size("GSTG_SERVICE_SESSIONS", 64);
   }
-  // Resolve the run-mode overrides here, on the caller's thread: a misspelled
+  // Resolve the render overrides here, on the caller's thread: a misspelled
   // value must fail the constructor, not a worker thread after startup.
-  r.render.temporal = temporal_mode_from_env(r.render.temporal);
-  r.render.binning = binning_mode_from_env(r.render.binning);
-  r.render.residency = residency_mode_from_env(r.render.residency);
-  (void)simd_backend_from_env();
-  r.render.validate();
+  r.render = r.render.resolved();
   return r;
 }
 

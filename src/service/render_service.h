@@ -106,9 +106,9 @@ struct ServiceConfig {
 
   ServiceConfig();
 
-  /// Fills every zero knob from its environment override / default, applies
-  /// the GSTG_TEMPORAL/GSTG_BINNING/GSTG_RESIDENCY overrides, checks GSTG_SIMD
-  /// and validates; throws std::invalid_argument on a malformed override or
+  /// Fills every zero knob from its environment override / default and
+  /// resolves `render` through GsTgConfig::resolved(); throws
+  /// std::invalid_argument on a malformed or unknown override or
   /// inconsistent values.
   [[nodiscard]] ServiceConfig resolved() const;
 };

@@ -44,11 +44,7 @@ void prepare_scratch(TemporalScratch& scratch, std::size_t workers, std::size_t 
 
 }  // namespace
 
-TemporalRenderer::TemporalRenderer(const GsTgConfig& config) : config_(config) {
-  if (config_.threads == 0) config_.threads = worker_thread_count();
-  config_.temporal = temporal_mode_from_env(config.temporal);
-  config_.binning = binning_mode_from_env(config.binning);
-  config_.validate();
+TemporalRenderer::TemporalRenderer(const GsTgConfig& config) : config_(config.resolved()) {
   telemetry::ensure_started_from_env();
   if (config_.trace) telemetry::ensure_collecting();
 }
@@ -80,7 +76,7 @@ void TemporalRenderer::render(const GaussianCloud& cloud, const Camera& camera,
   {
     GSTG_SPAN("binning");
     bin_splats_into(ctx.splats, ctx.frame.group_grid, config_.group_boundary, config_.threads,
-                    ctx.counters, ctx.frame.group_bins, ctx.binning, config_.binning);
+                    ctx.counters, ctx.frame.group_bins, ctx.binning);
   }
   ctx.times.preprocess_ms = timer.lap_ms();
 

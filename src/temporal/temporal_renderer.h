@@ -82,9 +82,10 @@ struct TemporalScratch {
 /// therefore matches render_gstg's counters bit-for-bit).
 class TemporalRenderer {
  public:
-  /// Validates the configuration and resolves the temporal mode (the
-  /// GSTG_TEMPORAL environment override wins over config.temporal) and
-  /// threads == 0 (GSTG_THREADS, read once here).
+  /// Captures config.resolved() (core/gstg_config.h): the environment
+  /// overrides — GSTG_TEMPORAL winning over config.temporal, GSTG_THREADS
+  /// for threads == 0 — are applied once here, and a malformed or unknown
+  /// override throws std::invalid_argument.
   explicit TemporalRenderer(const GsTgConfig& config);
 
   [[nodiscard]] const GsTgConfig& config() const { return config_; }

@@ -86,8 +86,6 @@ TEST(EnvErrors, ModeVariablesRejectUnknownSpellingsAndRoundTrip) {
   const ModeVariable variables[] = {
       {"GSTG_TEMPORAL", {"off", "reuse", "verify"},
        [] { return std::string(to_string(temporal_mode_from_env(TemporalMode::kOff))); }},
-      {"GSTG_BINNING", {"flat", "hierarchical", "auto", "verify"},
-       [] { return std::string(to_string(binning_mode_from_env(BinningMode::kAuto))); }},
       {"GSTG_RESIDENCY", {"float32", "compressed", "verify"},
        [] {
          return std::string(to_string(residency_mode_from_env(ResidencyMode::kCompressed)));

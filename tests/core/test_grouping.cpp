@@ -203,8 +203,7 @@ TEST(Grouping, GroupPairsFarFewerThanTilePairs) {
 TEST(Grouping, AdversarialFootprintsSurviveGroupingAndBitmasks) {
   // Degenerate splats through the group-granularity callers of the
   // candidate-cell math: identify_groups and generate_bitmasks must not
-  // perform unclamped float→int casts (UBSan) and must agree between flat
-  // and hierarchical group binning.
+  // perform unclamped float→int casts (UBSan).
   constexpr float nan = std::numeric_limits<float>::quiet_NaN();
   constexpr float inf = std::numeric_limits<float>::infinity();
   const auto splat = [](Vec2 center, Sym2 cov, float rho, std::uint32_t index) {
@@ -228,15 +227,10 @@ TEST(Grouping, AdversarialFootprintsSurviveGroupingAndBitmasks) {
   const CellGrid tile_grid = CellGrid::over_image(128, 96, 16);
   const CellGrid group_grid = CellGrid::over_image(128, 96, 64);
 
-  GsTgConfig config;
-  config.binning = BinningMode::kFlat;
+  const GsTgConfig config;
   RenderCounters cf;
   const BinnedSplats flat = identify_groups(splats, group_grid, config, cf);
-  config.binning = BinningMode::kVerify;  // hierarchical + flat identity audit
-  RenderCounters ch;
-  const BinnedSplats hier = identify_groups(splats, group_grid, config, ch);
-  EXPECT_EQ(cf.tile_pairs, ch.tile_pairs);
-  ASSERT_EQ(flat.offsets, hier.offsets);
+  EXPECT_EQ(flat.splat_ids.size(), cf.tile_pairs);
 
   // Bitmask generation walks candidate_cells per entry; the huge-rho splat
   // must cover every tile of every group it reached.

@@ -1,8 +1,7 @@
-// Adversarial footprint corpus and flat-vs-hierarchical identity sweep for
-// the binning stage. The corpus targets the pre-hardening failure modes:
-// unclamped float→int casts in candidate_cells (UB under UBSan for huge
-// rho), silent uint32 CSR prefix-sum wrap, and the int product overflow of
-// CellGrid::cell_count(). Runs under the ASan/UBSan and TSan presets via
+// Adversarial footprint corpus for the binning stage. The corpus targets the
+// pre-hardening failure modes: unclamped float→int casts in candidate_cells
+// (UB under UBSan for huge rho), silent uint32 CSR prefix-sum wrap, and the
+// int product overflow of CellGrid::cell_count(). Runs under the ASan/UBSan and TSan presets via
 // the render label.
 #include "render/binning.h"
 
@@ -11,15 +10,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
-
-#include "../test_helpers.h"
-#include "render/preprocess.h"
 
 namespace gstg {
 namespace {
-
-using testutil::make_camera;
 
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -82,19 +77,6 @@ std::vector<ProjectedSplat> adversarial_corpus() {
   return splats;
 }
 
-/// Canonical per-cell (depth, index) sort — the comparison kVerify uses.
-void canonicalize(BinnedSplats& bins, std::span<const ProjectedSplat> splats) {
-  const auto less = [&](std::uint32_t a, std::uint32_t b) {
-    const std::uint64_t ka = pack_depth_index_key(splats[a].depth, splats[a].index);
-    const std::uint64_t kb = pack_depth_index_key(splats[b].depth, splats[b].index);
-    return ka != kb ? ka < kb : a < b;
-  };
-  for (int c = 0; c < bins.grid.cell_count(); ++c) {
-    std::sort(bins.splat_ids.begin() + bins.offsets[c],
-              bins.splat_ids.begin() + bins.offsets[c + 1], less);
-  }
-}
-
 void expect_identical(const BinnedSplats& a, const BinnedSplats& b, const char* what) {
   ASSERT_EQ(a.offsets, b.offsets) << what;
   EXPECT_EQ(a.splat_ids, b.splat_ids) << what;
@@ -147,20 +129,31 @@ TEST(BinningOverflow, CsrPrefixSumThrowsTypedErrorInsteadOfWrapping) {
   // 3 cells of ~2^31 entries each: the old uint32 running sum wrapped
   // silently and scattered out of bounds. A real workload of this size is
   // not constructible in a test, so the guard is probed directly.
-  const std::vector<std::uint32_t> counts = {0x80000000u, 0x80000000u, 0x80000000u};
+  std::vector<std::uint32_t> counts = {0x80000000u, 0x80000000u, 0x80000000u};
   std::vector<std::uint32_t> offsets;
-  EXPECT_THROW(csr_offsets_from_counts(counts, offsets), BinningError);
+  EXPECT_THROW(csr_offsets_from_counts(counts, counts.size(), offsets), BinningError);
 
   // Sane counts produce ordinary CSR offsets.
-  const std::vector<std::uint32_t> ok = {3, 0, 2};
-  EXPECT_EQ(csr_offsets_from_counts(ok, offsets), 5u);
+  std::vector<std::uint32_t> ok = {3, 0, 2};
+  EXPECT_EQ(csr_offsets_from_counts(ok, ok.size(), offsets), 5u);
   EXPECT_EQ(offsets, (std::vector<std::uint32_t>{0, 3, 3, 5}));
 
-  // The exact boundary: a total of 2^32 - 1 still fits.
-  const std::vector<std::uint32_t> edge = {0xFFFFFFFEu, 1};
-  EXPECT_EQ(csr_offsets_from_counts(edge, offsets), 0xFFFFFFFFu);
-  const std::vector<std::uint32_t> over = {0xFFFFFFFEu, 2};
-  EXPECT_THROW(csr_offsets_from_counts(over, offsets), BinningError);
+  // Two chunk rows of three cells: the sum runs cell-major, chunk-minor,
+  // and each row becomes its chunk's scatter cursors.
+  std::vector<std::uint32_t> rows = {3, 0, 2,   // chunk 0
+                                     1, 4, 0};  // chunk 1
+  EXPECT_EQ(csr_offsets_from_counts(rows, 3, offsets), 10u);
+  EXPECT_EQ(offsets, (std::vector<std::uint32_t>{0, 4, 8, 10}));
+  EXPECT_EQ(rows, (std::vector<std::uint32_t>{0, 4, 8, 3, 4, 10}));
+
+  // The exact boundary: a total of 2^32 - 1 still fits, also when it is
+  // spread over several rows.
+  std::vector<std::uint32_t> edge = {0xFFFFFFFEu, 1};
+  EXPECT_EQ(csr_offsets_from_counts(edge, edge.size(), offsets), 0xFFFFFFFFu);
+  std::vector<std::uint32_t> over = {0xFFFFFFFEu, 2};
+  EXPECT_THROW(csr_offsets_from_counts(over, over.size(), offsets), BinningError);
+  std::vector<std::uint32_t> over_rows = {0xFFFFFFFEu, 2};
+  EXPECT_THROW(csr_offsets_from_counts(over_rows, 1, offsets), BinningError);
 }
 
 TEST(BinningOverflow, CellCountProductGuarded) {
@@ -182,25 +175,30 @@ TEST(BinningOverflow, TileRectFarIndicesStayFinite) {
   EXPECT_FLOAT_EQ(r.x1, 100.0f);  // clipped to the image
 }
 
-// --- adversarial corpus through both strategies ---------------------------
+// --- adversarial corpus through the binning pass ---------------------------
 
 TEST(BinningAdversarial, CorpusBinsIdenticallyInEveryModeAndBoundary) {
+  // Every boundary, at every thread count: the same byte-identical CSR,
+  // each cell list in ascending splat order.
   const std::vector<ProjectedSplat> splats = adversarial_corpus();
   for (const int cell : {16, 64, 256}) {  // 256 > image: a 1×1-cell grid
     const CellGrid g = CellGrid::over_image(128, 96, cell);
     for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
-      RenderCounters cf, ch;
-      BinnedSplats flat = bin_splats(splats, g, b, 1, cf, BinningMode::kFlat);
-      BinnedSplats hier = bin_splats(splats, g, b, 1, ch, BinningMode::kHierarchical);
-      EXPECT_EQ(cf.tile_pairs, ch.tile_pairs) << to_string(b) << " cell " << cell;
-      EXPECT_EQ(cf.splats_multi_tile, ch.splats_multi_tile) << to_string(b);
-      canonicalize(flat, splats);
-      canonicalize(hier, splats);
-      expect_identical(flat, hier, to_string(b));
-      // The audit mode must agree with itself.
-      RenderCounters cv;
-      EXPECT_NO_THROW(bin_splats(splats, g, b, 1, cv, BinningMode::kVerify)) << to_string(b);
-      EXPECT_EQ(cv.tile_pairs, ch.tile_pairs);
+      SCOPED_TRACE(std::string(to_string(b)) + " cell " + std::to_string(cell));
+      RenderCounters c1;
+      const BinnedSplats one = bin_splats(splats, g, b, 1, c1);
+      EXPECT_EQ(one.splat_ids.size(), c1.tile_pairs);
+      for (int c = 0; c < g.cell_count(); ++c) {
+        const auto list = one.cell_list(c);
+        EXPECT_TRUE(std::is_sorted(list.begin(), list.end())) << "cell " << c;
+      }
+      for (const std::size_t threads : {2u, 4u}) {
+        RenderCounters cn;
+        const BinnedSplats many = bin_splats(splats, g, b, threads, cn);
+        expect_identical(one, many, to_string(b));
+        EXPECT_EQ(c1.tile_pairs, cn.tile_pairs);
+        EXPECT_EQ(c1.splats_multi_tile, cn.splats_multi_tile);
+      }
     }
   }
 }
@@ -208,14 +206,12 @@ TEST(BinningAdversarial, CorpusBinsIdenticallyInEveryModeAndBoundary) {
 TEST(BinningAdversarial, HugeRhoSplatHitsEveryCellUnderAabb) {
   const CellGrid g = CellGrid::over_image(128, 96, 16);
   const std::vector<ProjectedSplat> splats = {make_splat({40, 40}, Sym2{1, 0, 1}, 1, 0, 1e30f)};
-  for (const BinningMode m : {BinningMode::kFlat, BinningMode::kHierarchical}) {
-    RenderCounters c;
-    const BinnedSplats bins = bin_splats(splats, g, Boundary::kAabb, 1, c, m);
-    // Pre-fix the unclamped cast produced an empty range and silently
-    // dropped a screen-covering splat.
-    EXPECT_EQ(c.tile_pairs, static_cast<std::size_t>(g.cell_count())) << to_string(m);
-    EXPECT_EQ(bins.splat_ids.size(), static_cast<std::size_t>(g.cell_count()));
-  }
+  RenderCounters c;
+  const BinnedSplats bins = bin_splats(splats, g, Boundary::kAabb, 1, c);
+  // Pre-fix the unclamped cast produced an empty range and silently
+  // dropped a screen-covering splat.
+  EXPECT_EQ(c.tile_pairs, static_cast<std::size_t>(g.cell_count()));
+  EXPECT_EQ(bins.splat_ids.size(), static_cast<std::size_t>(g.cell_count()));
 }
 
 TEST(BinningAdversarial, NonFiniteSplatsProduceNoPairs) {
@@ -226,128 +222,22 @@ TEST(BinningAdversarial, NonFiniteSplatsProduceNoPairs) {
       make_splat({kInf, kInf}, Sym2{1, 0, 1}, 2.0f, 2),
       make_splat({40, 40}, Sym2{1, 0, 1}, 2.5f, 3, kNaN),
   };
-  for (const BinningMode m : {BinningMode::kFlat, BinningMode::kHierarchical}) {
-    for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
-      RenderCounters c;
-      bin_splats(splats, g, b, 1, c, m);
-      EXPECT_EQ(c.tile_pairs, 0u) << to_string(m) << "/" << to_string(b);
-    }
+  for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
+    RenderCounters c;
+    bin_splats(splats, g, b, 1, c);
+    EXPECT_EQ(c.tile_pairs, 0u) << to_string(b);
   }
 }
 
 TEST(BinningAdversarial, NegativeRhoRejectsEvenItsOwnCellUnderEllipse) {
   const CellGrid g = CellGrid::over_image(128, 96, 16);
   const std::vector<ProjectedSplat> splats = {make_splat({40, 40}, Sym2{1, 0, 1}, 1, 0, -1.0f)};
-  for (const BinningMode m : {BinningMode::kFlat, BinningMode::kHierarchical}) {
-    RenderCounters ce, ca;
-    bin_splats(splats, g, Boundary::kEllipse, 1, ce, m);
-    bin_splats(splats, g, Boundary::kAabb, 1, ca, m);
-    // The single-cell fast path must not claim a guaranteed hit for rho < 0:
-    // flat's ellipse test rejects the center's own cell (min distance 0 > rho).
-    EXPECT_EQ(ce.tile_pairs, 0u) << to_string(m);
-    EXPECT_EQ(ca.tile_pairs, 1u) << to_string(m);
-  }
-}
-
-// --- flat vs hierarchical bit-identity sweep ------------------------------
-
-TEST(BinningIdentitySweep, RealWorkloadAcrossBoundariesCellSizesThreads) {
-  const Camera cam = make_camera(512, 384);
-  const GaussianCloud cloud = testutil::make_random_cloud(2000, 7);
-  RenderCounters pc;
-  const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
-
-  for (const int cell : {8, 16, 32, 64}) {
-    const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), cell);
-    for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
-      RenderCounters cf;
-      BinnedSplats flat = bin_splats(splats, g, b, 1, cf, BinningMode::kFlat);
-      canonicalize(flat, splats);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        RenderCounters ch;
-        BinnedSplats hier = bin_splats(splats, g, b, threads, ch, BinningMode::kHierarchical);
-        EXPECT_EQ(cf.tile_pairs, ch.tile_pairs)
-            << to_string(b) << " cell " << cell << " threads " << threads;
-        EXPECT_EQ(cf.splats_multi_tile, ch.splats_multi_tile);
-        EXPECT_GT(ch.coarse_pairs, 0u);
-        EXPECT_EQ(cf.coarse_pairs, 0u);
-        canonicalize(hier, splats);
-        expect_identical(flat, hier, to_string(b));
-      }
-      // kVerify runs its own flat reference compare across the same sweep.
-      RenderCounters cv;
-      EXPECT_NO_THROW(bin_splats(splats, g, b, 4, cv, BinningMode::kVerify))
-          << to_string(b) << " cell " << cell;
-    }
-  }
-}
-
-TEST(BinningIdentitySweep, HierarchicalReducesBoundaryTestsOnRealWorkload) {
-  const Camera cam = make_camera(512, 384);
-  const GaussianCloud cloud = testutil::make_random_cloud(2000, 13);
-  RenderCounters pc;
-  const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
-  const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), 16);
-  for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
-    RenderCounters cf, ch;
-    bin_splats(splats, g, b, 0, cf, BinningMode::kFlat);
-    bin_splats(splats, g, b, 0, ch, BinningMode::kHierarchical);
-    EXPECT_LT(ch.boundary_tests, cf.boundary_tests) << to_string(b);
-  }
-}
-
-// --- mode resolution ------------------------------------------------------
-
-TEST(BinningMode, AutoResolvesByGridSize) {
-  const CellGrid small = CellGrid::over_image(256, 192, 16);  // 192 cells
-  const CellGrid large = CellGrid::over_image(1024, 768, 16);  // 3072 cells
-  ASSERT_LT(small.cell_count(), kAutoHierarchicalMinCells);
-  ASSERT_GE(large.cell_count(), kAutoHierarchicalMinCells);
-  EXPECT_EQ(resolve_binning_mode(BinningMode::kAuto, small), BinningMode::kFlat);
-  EXPECT_EQ(resolve_binning_mode(BinningMode::kAuto, large), BinningMode::kHierarchical);
-  EXPECT_EQ(resolve_binning_mode(BinningMode::kFlat, large), BinningMode::kFlat);
-  EXPECT_EQ(resolve_binning_mode(BinningMode::kVerify, small), BinningMode::kVerify);
-}
-
-TEST(BinningMode, VerifyReportsHierarchicalCounters) {
-  const Camera cam = make_camera();
-  const GaussianCloud cloud = testutil::make_random_cloud(600, 29);
-  RenderCounters pc;
-  const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
-  const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), 16);
-  RenderCounters ch, cv;
-  bin_splats(splats, g, Boundary::kEllipse, 2, ch, BinningMode::kHierarchical);
-  bin_splats(splats, g, Boundary::kEllipse, 2, cv, BinningMode::kVerify);
-  EXPECT_EQ(cv.boundary_tests, ch.boundary_tests);
-  EXPECT_EQ(cv.tile_pairs, ch.tile_pairs);
-  EXPECT_EQ(cv.coarse_pairs, ch.coarse_pairs);
-  EXPECT_EQ(cv.splats_multi_tile, ch.splats_multi_tile);
-}
-
-// --- steady-state reuse ---------------------------------------------------
-
-TEST(BinningScratchReuse, HierarchicalIsAllocationStableAcrossFrames) {
-  const Camera cam = make_camera();
-  const GaussianCloud cloud = testutil::make_random_cloud(800, 31);
-  RenderCounters pc;
-  const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
-  const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), 16);
-
-  BinnedSplats out;
-  BinningScratch scratch;
-  RenderCounters warm;
-  bin_splats_into(splats, g, Boundary::kEllipse, 1, warm, out, scratch,
-                  BinningMode::kHierarchical);
-  const BinnedSplats first = out;
-  // Steady state: capacities are warm, results must be reproduced exactly.
-  for (int frame = 0; frame < 3; ++frame) {
-    RenderCounters c;
-    bin_splats_into(splats, g, Boundary::kEllipse, 1, c, out, scratch,
-                    BinningMode::kHierarchical);
-    EXPECT_EQ(out.offsets, first.offsets);
-    EXPECT_EQ(out.splat_ids, first.splat_ids);
-    EXPECT_EQ(c.tile_pairs, warm.tile_pairs);
-  }
+  RenderCounters ce, ca;
+  bin_splats(splats, g, Boundary::kEllipse, 1, ce);
+  bin_splats(splats, g, Boundary::kAabb, 1, ca);
+  // The ellipse test rejects the center's own cell (min distance 0 > rho).
+  EXPECT_EQ(ce.tile_pairs, 0u);
+  EXPECT_EQ(ca.tile_pairs, 1u);
 }
 
 }  // namespace

@@ -20,7 +20,10 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/renderer.h"
+#include "env_guard.h"
 #include "gaussian/ply_io.h"
+#include "temporal/temporal_renderer.h"
 #include "test_helpers.h"
 
 namespace gstg {
@@ -402,6 +405,7 @@ TEST(RenderService, ServiceEnvKnobsRejectMalformedValues) {
 TEST(RenderService, MisspelledModeEnvFailsConstructionNotWorkers) {
   // Run-mode overrides are resolved on the caller's thread, so a typo is a
   // typed constructor error rather than a throw inside a worker thread.
+  // GSTG_BINNING is retired: any value is rejected as an unknown variable.
   for (const char* name : {"GSTG_TEMPORAL", "GSTG_BINNING", "GSTG_RESIDENCY", "GSTG_SIMD"}) {
     SCOPED_TRACE(name);
     ASSERT_EQ(setenv(name, "bogus", 1), 0);
@@ -410,9 +414,68 @@ TEST(RenderService, MisspelledModeEnvFailsConstructionNotWorkers) {
                  std::invalid_argument);
     ASSERT_EQ(unsetenv(name), 0);
   }
-  ASSERT_EQ(setenv("GSTG_BINNING", "flat", 1), 0);
-  EXPECT_EQ(ServiceConfig{}.resolved().render.binning, BinningMode::kFlat);
-  ASSERT_EQ(unsetenv("GSTG_BINNING"), 0);
+}
+
+TEST(ConfigResolution, AllConstructorsSeeTheSameOverrides) {
+  // GsTgConfig::resolved() is the one place the environment is applied, so
+  // the persistent renderer, the temporal renderer and the service agree.
+  testutil::EnvGuard threads("GSTG_THREADS");
+  testutil::EnvGuard temporal("GSTG_TEMPORAL");
+  testutil::EnvGuard residency("GSTG_RESIDENCY");
+  testutil::EnvGuard simd("GSTG_SIMD");
+  testutil::EnvGuard retired("GSTG_BINNING");
+  threads.set("3");
+  temporal.set("verify");
+  residency.set("float32");
+  simd.unset();
+  retired.unset();
+
+  GsTgConfig config;  // threads = 0, temporal = kOff, residency = kCompressed
+  ServiceConfig service;
+  service.render = config;
+  const GsTgConfig seen[] = {Renderer(config).config(), TemporalRenderer(config).config(),
+                             service.resolved().render};
+  for (const GsTgConfig& c : seen) {
+    EXPECT_EQ(c.threads, 3u);
+    EXPECT_EQ(c.temporal, TemporalMode::kVerify);
+    EXPECT_EQ(c.residency, ResidencyMode::kFloat32);
+  }
+
+  // A malformed GSTG_SIMD and a retired variable fail all three alike.
+  const auto expect_all_reject = [&](const char* name) {
+    SCOPED_TRACE(name);
+    const auto expect_names = [&](const auto& construct) {
+      try {
+        construct();
+        ADD_FAILURE() << "construction should throw";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+      }
+    };
+    expect_names([&] { (void)Renderer(config); });
+    expect_names([&] { (void)TemporalRenderer(config); });
+    expect_names([&] { (void)service.resolved(); });
+  };
+  simd.set("bogus");
+  expect_all_reject("GSTG_SIMD");
+  simd.unset();
+  retired.set("flat");
+  expect_all_reject("GSTG_BINNING");
+}
+
+TEST(ConfigResolution, UnknownGstgVariablesAreRejectedByName) {
+  for (const char* name : {"GSTG_BINNING", "GSTG_PIPELINE", "GSTG_THREDS"}) {
+    SCOPED_TRACE(name);
+    testutil::EnvGuard guard(name);
+    guard.set("1");
+    try {
+      (void)GsTgConfig{}.resolved();
+      ADD_FAILURE() << name << " should be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_NO_THROW((void)GsTgConfig{}.resolved());
 }
 
 TEST(ServiceStatus, NamesAreStable) {
