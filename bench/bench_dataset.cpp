@@ -3,15 +3,16 @@
 // transforms.json) through the format-sniffing load_scene entry point,
 // round-trips every bench scene through a PLY checkpoint to time the
 // loader on realistic cloud sizes, then measures the fp16 resident form:
-// encode cost, resident bytes vs the float32 SoA, the streamed
-// decode-on-touch render vs the up-front-decode render, and the
-// ResidencyMode::kVerify audit. Writes BENCH_dataset.json — the record CI
-// archives and gates (scripts/check_bench.py --dataset).
+// encode cost, resident bytes vs the float32 SoA, and the streamed
+// decode-on-touch render vs the up-front-decode render, whose splat
+// stream, image and counters must agree byte for byte. Writes
+// BENCH_dataset.json — the record CI archives and gates
+// (scripts/check_bench.py --dataset).
 //
 // Like run_all and bench_binning, this only needs the project libraries,
-// so it always builds. A verify failure, a streamed/up-front image
-// divergence, or the compression gate (resident bytes must be at least 2x
-// smaller than float32) exits with code 2 so CI's bench step goes red.
+// so it always builds. A streamed/up-front divergence or the compression
+// gate (resident bytes must be at least 2x smaller than float32) exits
+// with code 2 so CI's bench step goes red.
 //
 // Run:  ./bench_dataset [--out-dir=.] [--scenes=train,truck] [--repeat=3]
 //                       [--threads=N] [--data-dir=tests/data]
@@ -31,7 +32,6 @@
 #include "gaussian/compressed.h"
 #include "gaussian/ply_io.h"
 #include "json_writer.h"
-#include "render/framebuffer.h"
 
 #ifndef GSTG_DATASET_FIXTURE_DIR
 #define GSTG_DATASET_FIXTURE_DIR "tests/data"
@@ -42,7 +42,10 @@ namespace {
 using namespace gstg;
 using benchutil::JsonWriter;
 using benchutil::cached_scene;
+using benchutil::counters_equal;
+using benchutil::images_bit_identical;
 using benchutil::split_csv;
+using benchutil::splats_bit_identical;
 
 /// The residency bar: the fp16 form must make the resident Gaussian state
 /// at least this many times smaller than the float32 SoA, on every scene.
@@ -74,13 +77,6 @@ constexpr Fixture kFixtures[] = {
     {"transforms", "transforms_mini.json", "transforms"},
 };
 
-GsTgConfig config_with(ResidencyMode residency, std::size_t threads) {
-  GsTgConfig config;
-  config.threads = threads;
-  config.residency = residency;
-  return config;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -95,14 +91,9 @@ int main(int argc, char** argv) {
     if (scenes.empty()) scenes = benchutil::algo_scene_names();
 
     benchutil::print_scale_banner("bench_dataset: scene ingestion + compressed residency");
-    // The env override would collapse the explicit float32/compressed A/B
-    // below into one mode; this driver's modes are the experiment.
-    if (std::getenv("GSTG_RESIDENCY") != nullptr) {
-      std::fprintf(stderr,
-                   "bench_dataset: ignoring GSTG_RESIDENCY — this driver compares explicit "
-                   "residency modes\n");
-      unsetenv("GSTG_RESIDENCY");
-    }
+    GsTgConfig config;
+    config.threads = threads;
+    const Renderer renderer(config);
 
     bool fixtures_ok = true;
     bool compression_ok = true;
@@ -184,33 +175,29 @@ int main(int argc, char** argv) {
                      name.c_str(), ratio, kCompressionGate);
       }
 
-      // Residency A/B: up-front decode vs streamed decode-on-touch, then
-      // the in-process kVerify audit. The streamed image must be
-      // bit-identical to the up-front image — that is the exactness
-      // contract, not a tolerance.
-      const Renderer upfront(config_with(ResidencyMode::kFloat32, threads));
-      const Renderer streamed(config_with(ResidencyMode::kCompressed, threads));
+      // Residency A/B. Each up-front frame decodes the whole cloud into a
+      // reused float32 cloud and renders it; each streamed frame decodes
+      // fixed-size blocks on touch. The two frames must agree byte for
+      // byte in splat stream, image and counters — the exactness contract,
+      // not a tolerance.
+      GaussianCloud decoded;
       FrameContext upfront_ctx, streamed_ctx;
-      const double float32_ms =
-          best_ms_of(repeat, [&] { upfront.render(compressed, scene.camera, upfront_ctx); });
+      const double float32_ms = best_ms_of(repeat, [&] {
+        compressed.decode_range(0, compressed.size(), decoded);
+        renderer.render(decoded, scene.camera, upfront_ctx);
+      });
       const double compressed_ms =
-          best_ms_of(repeat, [&] { streamed.render(compressed, scene.camera, streamed_ctx); });
+          best_ms_of(repeat, [&] { renderer.render(compressed, scene.camera, streamed_ctx); });
       const double overhead = float32_ms > 0.0 ? compressed_ms / float32_ms : 0.0;
 
-      bool scene_verify_ok =
-          max_abs_diff(upfront_ctx.image, streamed_ctx.image) == 0.0f;
+      const bool scene_verify_ok =
+          splats_bit_identical(upfront_ctx.splats, streamed_ctx.splats) &&
+          images_bit_identical(upfront_ctx.image, streamed_ctx.image) &&
+          counters_equal(upfront_ctx.counters, streamed_ctx.counters);
       if (!scene_verify_ok) {
+        verify_ok = false;
         std::fprintf(stderr, "bench_dataset: STREAMED/UP-FRONT DIVERGENCE on %s\n", name.c_str());
       }
-      try {
-        FrameContext verify_ctx;
-        Renderer(config_with(ResidencyMode::kVerify, threads))
-            .render(compressed, scene.camera, verify_ctx);
-      } catch (const ResidencyError& e) {
-        scene_verify_ok = false;
-        std::fprintf(stderr, "bench_dataset: kVerify FAILED on %s: %s\n", name.c_str(), e.what());
-      }
-      if (!scene_verify_ok) verify_ok = false;
 
       table.add_row({name, std::to_string(scene.cloud.size()), format_fixed(load_ms, 2),
                      format_fixed(encode_ms, 2), std::to_string(resident),
@@ -243,9 +230,9 @@ int main(int argc, char** argv) {
     json.finish();
     table.print();
     std::printf("bench_dataset: wrote %s/BENCH_dataset.json\n", out_dir.c_str());
-    // A fixture mis-sniff, a round-trip mismatch, a verify failure or a
-    // compression shortfall is a correctness regression, not a perf data
-    // point: fail the driver so CI's bench step goes red.
+    // A fixture mis-sniff, a round-trip mismatch, a streamed/up-front
+    // divergence or a compression shortfall is a correctness regression,
+    // not a perf data point: fail the driver so CI's bench step goes red.
     return fixtures_ok && compression_ok && verify_ok ? 0 : 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_dataset: %s\n", e.what());

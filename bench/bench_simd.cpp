@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
 
       GsTgConfig scalar_config;
       scalar_config.threads = threads;
-      scalar_config.simd = SimdPolicy{SimdBackend::kScalar};
+      scalar_config.simd = SimdBackend::kScalar;
       const RenderResult scalar = best_of(repeat, scene, scalar_config);
 
       json.open_object();
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
       for (const SimdBackend backend : backends) {
         GsTgConfig config;
         config.threads = threads;
-        config.simd = SimdPolicy{backend};
+        config.simd = backend;
         // The scalar reference render doubles as that backend's sample.
         const RenderResult got =
             backend == SimdBackend::kScalar ? scalar : best_of(repeat, scene, config);

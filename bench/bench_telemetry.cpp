@@ -36,6 +36,7 @@ namespace {
 using namespace gstg;
 using benchutil::JsonWriter;
 using benchutil::cached_scene;
+using benchutil::counters_equal;
 
 constexpr double kOverheadLimit = 0.03;  // the acceptance bar: < 3% on sort+raster
 
@@ -54,13 +55,6 @@ double timed_pass(const Renderer& renderer, const GaussianCloud& cloud, const Ca
     if (r == 0 || total < best) best = total;
   }
   return best;
-}
-
-bool counters_equal(const RenderCounters& a, const RenderCounters& b) {
-  return a.visible_gaussians == b.visible_gaussians && a.tile_pairs == b.tile_pairs &&
-         a.sort_pairs == b.sort_pairs && a.bitmask_tests == b.bitmask_tests &&
-         a.filter_checks == b.filter_checks && a.alpha_computations == b.alpha_computations &&
-         a.blend_ops == b.blend_ops && a.total_pixels == b.total_pixels;
 }
 
 std::size_t count_occurrences(const std::string& haystack, const std::string& needle) {

@@ -16,6 +16,7 @@
 
 #include "common/runconfig.h"
 #include "render/framebuffer.h"
+#include "render/types.h"
 #include "scene/scene.h"
 
 namespace gstg::benchutil {
@@ -104,6 +105,23 @@ inline void print_scale_banner(const char* what) {
 inline bool images_bit_identical(const Framebuffer& a, const Framebuffer& b) {
   return a.width() == b.width() && a.height() == b.height() &&
          std::memcmp(a.pixels().data(), b.pixels().data(), a.pixels().size() * sizeof(Vec3)) == 0;
+}
+
+/// Byte equality of two splat streams. ProjectedSplat is one 64-byte record
+/// with no padding, so memcmp compares representations.
+inline bool splats_bit_identical(const std::vector<ProjectedSplat>& a,
+                                 const std::vector<ProjectedSplat>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(ProjectedSplat)) == 0);
+}
+
+/// Equality of the work counters a frame's splat stream determines (every
+/// field the determinism checks compare; timings are not counters).
+inline bool counters_equal(const RenderCounters& a, const RenderCounters& b) {
+  return a.visible_gaussians == b.visible_gaussians && a.tile_pairs == b.tile_pairs &&
+         a.sort_pairs == b.sort_pairs && a.bitmask_tests == b.bitmask_tests &&
+         a.filter_checks == b.filter_checks && a.alpha_computations == b.alpha_computations &&
+         a.blend_ops == b.blend_ops && a.total_pixels == b.total_pixels;
 }
 
 }  // namespace gstg::benchutil

@@ -28,12 +28,6 @@ constexpr Spelling<TemporalMode> kTemporalSpellings[] = {
     {"verify", TemporalMode::kVerify},
 };
 
-constexpr Spelling<ResidencyMode> kResidencySpellings[] = {
-    {"float32", ResidencyMode::kFloat32},
-    {"compressed", ResidencyMode::kCompressed},
-    {"verify", ResidencyMode::kVerify},
-};
-
 std::string join_spellings(std::span<const char* const> accepted) {
   std::string joined;
   for (const char* text : accepted) {
@@ -60,12 +54,6 @@ TemporalMode temporal_mode_from_env(TemporalMode fallback) {
 }
 
 const char* to_string(TemporalMode mode) { return spelling_of(kTemporalSpellings, mode); }
-
-ResidencyMode residency_mode_from_env(ResidencyMode fallback) {
-  return env_spelling("GSTG_RESIDENCY", kResidencySpellings, fallback);
-}
-
-const char* to_string(ResidencyMode mode) { return spelling_of(kResidencySpellings, mode); }
 
 std::size_t env_positive_size(const char* name, std::size_t fallback) {
   const char* env = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist

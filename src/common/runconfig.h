@@ -19,7 +19,6 @@ namespace gstg {
 /// undocumented or unregistered. Keep the list sorted.
 inline constexpr const char* kGstgEnvVars[] = {
     "GSTG_METRICS",           // telemetry: metrics JSON written at process exit
-    "GSTG_RESIDENCY",         // residency_mode_from_env (float32/compressed/verify)
     "GSTG_SCALE",             // run_scale_from_env (bench/small/full)
     "GSTG_SERVICE_BATCH",     // render service: max batched requests per worker wake
     "GSTG_SERVICE_QUEUE",     // render service: bounded queue capacity
@@ -98,26 +97,5 @@ TemporalMode temporal_mode_from_env(TemporalMode fallback);
 /// only because perfbench/workloads.cpp passes its config fields to
 /// bin_splats_into.
 enum class BinningMode : std::uint8_t { kFlat };
-
-/// Resident representation of the Gaussian cloud inside the renderer
-/// (gaussian/compressed.h). Lives here, next to the other run modes, so
-/// core's config can carry the knob without depending on the compressed
-/// form's implementation.
-///   kFloat32    — render from the full-precision float32 SoA (a compressed
-///                 input is decoded up front into frame scratch)
-///   kCompressed — keep only the fp16 SoA resident and decode fixed-size
-///                 blocks on touch inside preprocess (half the resident
-///                 bytes, the memory-bandwidth execution model of the
-///                 129FPS Full-HD accelerator)
-///   kVerify     — decode the full cloud up front AND stream-decode, then
-///                 assert the two renders are bit-identical (the audit mode)
-enum class ResidencyMode : std::uint8_t { kFloat32, kCompressed, kVerify };
-
-/// Reads GSTG_RESIDENCY from the environment ("float32" / "compressed" /
-/// "verify"). Unset returns `fallback`; any value but these throws (see
-/// common/spelling_table.h).
-ResidencyMode residency_mode_from_env(ResidencyMode fallback);
-
-[[nodiscard]] const char* to_string(ResidencyMode mode);
 
 }  // namespace gstg

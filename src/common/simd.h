@@ -26,7 +26,8 @@
 // render/simd_kernels.h): kAuto resolves to the GSTG_SIMD environment
 // override when set, otherwise to the widest backend that is compiled in,
 // supported by the running CPU, and has passed a bit-identity probe against
-// the scalar kernel.
+// the scalar kernel. GsTgConfig::resolved() makes that choice once per
+// renderer; RenderConfig::simd and GsTgConfig::simd carry the backend.
 #pragma once
 
 #include <bit>
@@ -42,23 +43,16 @@
 
 namespace gstg {
 
-/// Kernel backend. kAuto defers the choice to runtime dispatch; the concrete
-/// values name instruction sets a kernel translation unit targets.
+/// Kernel backend, the SIMD knob of RenderConfig / GsTgConfig. kAuto defers
+/// the choice to runtime dispatch; the concrete values name instruction sets
+/// a kernel translation unit targets. A pure performance choice — every
+/// backend produces the same bits.
 enum class SimdBackend : std::uint8_t {
   kAuto = 0,
   kScalar,
   kSse4,
   kAvx2,
   kNeon,
-};
-
-/// The SIMD knob threaded through RenderConfig / GsTgConfig: which kernel
-/// backend to run. A pure performance choice — every backend produces the
-/// same bits.
-struct SimdPolicy {
-  SimdBackend backend = SimdBackend::kAuto;
-
-  constexpr bool operator==(const SimdPolicy&) const = default;
 };
 
 /// Lower-case backend name ("auto", "scalar", "sse4", "avx2", "neon").

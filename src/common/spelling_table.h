@@ -1,9 +1,9 @@
 // Table-driven parsing of the run-mode environment variables (GSTG_SCALE,
-// GSTG_SIMD, GSTG_TEMPORAL, GSTG_RESIDENCY). Each mode keeps
-// one {spelling, value} table that both its *_from_env parser and its
-// to_string read, so the accepted spellings and the printed names cannot
-// drift apart. Private to the common layer: callers use the *_from_env and
-// to_string functions of common/runconfig.h and common/simd.h.
+// GSTG_SIMD, GSTG_TEMPORAL). Each mode keeps one {spelling, value} table
+// that both its *_from_env parser and its to_string read, so the accepted
+// spellings and the printed names cannot drift apart. Private to the common
+// layer: callers use the *_from_env and to_string functions of
+// common/runconfig.h and common/simd.h.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +51,9 @@ T parse_spelling(const char* what, const Spelling<T> (&table)[N], const char* te
 /// value goes through parse_spelling, so a typo, wrong case, surrounding
 /// whitespace or the empty string throws std::invalid_argument naming the
 /// variable — the contract of env_positive_size. The success path compares
-/// the environment's own buffer and allocates nothing: the mode parsers run
-/// per frame inside render_baseline and resolve_simd_backend (lint R1).
+/// the environment's own buffer and allocates nothing: resolve_simd_backend
+/// runs it once per one-shot render_baseline call and per stage call on an
+/// unresolved config (lint R1).
 template <typename T, std::size_t N>
 T env_spelling(const char* var, const Spelling<T> (&table)[N], T fallback) {
   const char* env = std::getenv(var);  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist

@@ -169,9 +169,10 @@ void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat
   const int r = frame.config.tiles_per_side();
   const std::size_t tiles = static_cast<std::size_t>(tile_grid.cell_count());
 
-  // Backend resolution happens once per frame; every tile kernel call then
-  // dispatches on a concrete backend (no env reads in the hot loop).
-  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend)};
+  // A config from GsTgConfig::resolved() already names a concrete backend;
+  // a one-shot caller's kAuto is resolved here, once per frame, so every
+  // tile kernel call dispatches on a concrete backend.
+  const SimdBackend simd = resolve_simd_backend(frame.config.simd);
 
   // Per-worker reusable buffers sized from the exact worker count. The
   // stats are plain integers, so they merge through atomics.

@@ -1,6 +1,7 @@
 #include "core/gstg_config.h"
 
 #include "common/simd.h"
+#include "render/simd_kernels.h"
 
 namespace gstg {
 
@@ -9,8 +10,9 @@ GsTgConfig GsTgConfig::resolved() const {
   GsTgConfig r = *this;
   if (r.threads == 0) r.threads = worker_thread_count();
   r.temporal = temporal_mode_from_env(r.temporal);
-  r.residency = residency_mode_from_env(r.residency);
+  // Parsed even when simd names a backend: a malformed GSTG_SIMD always throws.
   (void)simd_backend_from_env();
+  r.simd = resolve_simd_backend(r.simd);
   r.validate();
   return r;
 }

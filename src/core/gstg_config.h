@@ -29,10 +29,10 @@ struct GsTgConfig {
   /// Group-sort algorithm: packed-key radix, comparison sort, or kAuto
   /// (radix above the cutoff). All choices order identically.
   SortAlgo sort_algo = SortAlgo::kAuto;
-  /// SIMD kernel policy for preprocess/rasterize (see common/simd.h): kAuto
-  /// backend resolves to the widest verified one (GSTG_SIMD overrides);
-  /// exact exponential mode (the default) keeps bit-identity with scalar.
-  SimdPolicy simd;
+  /// SIMD kernel backend for preprocess/rasterize (see common/simd.h):
+  /// kAuto is the widest verified one (GSTG_SIMD overrides). resolved()
+  /// makes it concrete; every backend renders bit-identical images.
+  SimdBackend simd = SimdBackend::kAuto;
   /// Cross-frame group-sort reuse mode of the temporal renderer
   /// (src/temporal/temporal_renderer.h; GSTG_TEMPORAL overrides). kOff by
   /// default so the one-shot and batch paths are untouched; every mode is
@@ -41,13 +41,6 @@ struct GsTgConfig {
   TemporalMode temporal = TemporalMode::kOff;
   /// Retired (binning has one strategy); kept only because perfbench names it.
   BinningMode binning = BinningMode::kFlat;
-  /// Resident-form policy of the compressed render path — only consulted by
-  /// Renderer::render(const CompressedCloud&, ...) (GSTG_RESIDENCY
-  /// overrides): kCompressed (the default) streams fp16 blocks through
-  /// per-worker decode scratch, kFloat32 decodes the whole cloud up front,
-  /// and kVerify runs both preprocesses and throws ResidencyError unless
-  /// the streamed splat stream is bit-identical to the up-front one.
-  ResidencyMode residency = ResidencyMode::kCompressed;
   /// Intra-frame workers; 0 = auto (GSTG_THREADS or hardware concurrency,
   /// resolved once by resolved()).
   std::size_t threads = 0;
@@ -80,14 +73,15 @@ struct GsTgConfig {
   [[nodiscard]] int tiles_per_side() const { return group_size / tile_size; }
   [[nodiscard]] int tiles_per_group() const { return tiles_per_side() * tiles_per_side(); }
 
-  /// This config with the process environment applied — the one place the
-  /// env overrides are resolved; Renderer, TemporalRenderer and
-  /// ServiceConfig::resolved() all call it at construction. threads == 0
-  /// becomes worker_thread_count() (GSTG_THREADS), GSTG_TEMPORAL and
-  /// GSTG_RESIDENCY override their fields, GSTG_SIMD is parsed (the
-  /// kernels read it again per call), and validate() runs. Throws
-  /// std::invalid_argument on a malformed override, on any GSTG_* variable
-  /// kGstgEnvVars does not list, or on inconsistent values.
+  /// This config with the process environment applied and every mode
+  /// concrete — the one place the env overrides are resolved; Renderer,
+  /// TemporalRenderer and ServiceConfig::resolved() all call it at
+  /// construction, so their frame paths never read the environment.
+  /// threads == 0 becomes worker_thread_count() (GSTG_THREADS),
+  /// GSTG_TEMPORAL overrides `temporal`, `simd` becomes
+  /// resolve_simd_backend(simd) (kAuto honours GSTG_SIMD), and validate()
+  /// runs. Throws std::invalid_argument on a malformed override, on any
+  /// GSTG_* variable kGstgEnvVars does not list, or on inconsistent values.
   [[nodiscard]] GsTgConfig resolved() const;
 
   void validate() const {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <string>
 #include <thread>
 
 #include "common/runconfig.h"
@@ -33,79 +31,17 @@ void Renderer::render(const GaussianCloud& cloud, const Camera& camera,
   finish_frame(camera, ctx, timer);
 }
 
-namespace {
-
-bool bits_equal(float a, float b) {
-  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
-}
-
-/// Bit-exact splat comparison (operator== on floats would conflate -0/0 and
-/// reject NaN == NaN; the residency audit wants representation equality).
-bool splats_identical(const ProjectedSplat& a, const ProjectedSplat& b) {
-  return bits_equal(a.center.x, b.center.x) && bits_equal(a.center.y, b.center.y) &&
-         bits_equal(a.cov.xx, b.cov.xx) && bits_equal(a.cov.xy, b.cov.xy) &&
-         bits_equal(a.cov.yy, b.cov.yy) && bits_equal(a.conic.xx, b.conic.xx) &&
-         bits_equal(a.conic.xy, b.conic.xy) && bits_equal(a.conic.yy, b.conic.yy) &&
-         bits_equal(a.depth, b.depth) && bits_equal(a.opacity, b.opacity) &&
-         bits_equal(a.rgb.x, b.rgb.x) && bits_equal(a.rgb.y, b.rgb.y) &&
-         bits_equal(a.rgb.z, b.rgb.z) && bits_equal(a.rho, b.rho) && a.index == b.index &&
-         bits_equal(a.q_max, b.q_max);
-}
-
-}  // namespace
-
 void Renderer::render(const CompressedCloud& cloud, const Camera& camera,
                       FrameContext& ctx) const {
   GSTG_SPAN("frame");
   ctx.times = {};
   ctx.counters = {};
   Timer timer;
-  const RenderConfig rc = config_.render_config();
 
   {
     GSTG_SPAN("preprocess");
-    switch (config_.residency) {
-    case ResidencyMode::kFloat32:
-      cloud.decode_range(0, cloud.size(), ctx.decoded);
-      preprocess_into(ctx.decoded, camera, rc, ctx.counters, ctx.splats, ctx.preprocess);
-      break;
-    case ResidencyMode::kCompressed:
-      preprocess_compressed_into(cloud, camera, rc, ctx.counters, ctx.splats, ctx.preprocess,
-                                 ctx.decode);
-      break;
-    case ResidencyMode::kVerify: {
-      // Streamed run (the one whose products the frame keeps) plus the
-      // up-front-decode reference run into separate scratch; the audit
-      // demands representation-level equality of the splat streams. The
-      // downstream stages are deterministic functions of the splat stream,
-      // so this equality is image equality.
-      preprocess_compressed_into(cloud, camera, rc, ctx.counters, ctx.splats, ctx.preprocess,
-                                 ctx.decode);
-      cloud.decode_range(0, cloud.size(), ctx.decoded);
-      RenderCounters reference;
-      preprocess_into(ctx.decoded, camera, rc, reference, ctx.verify_splats,
-                      ctx.verify_preprocess);
-      if (reference.input_gaussians != ctx.counters.input_gaussians ||
-          reference.visible_gaussians != ctx.counters.visible_gaussians) {
-        throw ResidencyError("verify: streamed preprocess counters diverge (visible " +
-                             std::to_string(ctx.counters.visible_gaussians) + " vs " +
-                             std::to_string(reference.visible_gaussians) + ")");
-      }
-      if (ctx.splats.size() != ctx.verify_splats.size()) {
-        throw ResidencyError("verify: streamed survivor count " +
-                             std::to_string(ctx.splats.size()) + " != up-front count " +
-                             std::to_string(ctx.verify_splats.size()));
-      }
-      for (std::size_t i = 0; i < ctx.splats.size(); ++i) {
-        if (!splats_identical(ctx.splats[i], ctx.verify_splats[i])) {
-          throw ResidencyError("verify: splat " + std::to_string(i) +
-                               " (cloud index " + std::to_string(ctx.splats[i].index) +
-                               ") differs between streamed and up-front decode");
-        }
-      }
-      break;
-    }
-    }
+    preprocess_compressed_into(cloud, camera, config_.render_config(), ctx.counters, ctx.splats,
+                               ctx.preprocess, ctx.decode);
   }
   finish_frame(camera, ctx, timer);
 }

@@ -46,13 +46,8 @@ struct FrameContext {
   SortScratch sort;
   RasterScratch raster;
 
-  // Compressed-residency scratch (render(CompressedCloud) overload only).
-  // `decoded` holds the full float32 form under kFloat32/kVerify; the
-  // verify pair backs the up-front-decode reference run under kVerify.
+  // Per-worker block-decode scratch (render(CompressedCloud) overload only).
   DecodeScratch decode;
-  GaussianCloud decoded;
-  std::vector<ProjectedSplat> verify_splats;
-  PreprocessScratch verify_preprocess;
 };
 
 /// A persistent renderer bound to one validated configuration. Stateless
@@ -73,17 +68,11 @@ class Renderer {
   /// result — identical to render_gstg(cloud, camera, config()).
   void render(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx) const;
 
-  /// Renders from the fp16-resident form under config().residency:
-  ///  - kCompressed: streamed block decode through ctx.decode — the float32
-  ///    form of the whole cloud never exists;
-  ///  - kFloat32: decodes the whole cloud into ctx.decoded first (the
-  ///    reference execution of the same resident data);
-  ///  - kVerify: runs both preprocesses and throws ResidencyError unless
-  ///    the streamed splat stream is bit-identical to the up-front one
-  ///    (downstream stages are deterministic in the splat stream, so splat
-  ///    equality is image equality).
-  /// Every mode produces the image render(cloud.decode(), camera, ctx)
-  /// would — bit-identical across modes, threads and SIMD backends.
+  /// Renders from the fp16-resident form: preprocess streams fixed-size
+  /// blocks through the per-worker decode scratch in ctx.decode, so the
+  /// float32 form of the whole cloud never exists. The splat stream, image
+  /// and counters are bit-identical to render(cloud.decode(), camera, ctx)
+  /// — the float32 reference — across threads and SIMD backends.
   void render(const CompressedCloud& cloud, const Camera& camera, FrameContext& ctx) const;
 
  private:

@@ -1,5 +1,8 @@
 #include "gaussian/compressed.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace gstg {
 
 CompressedCloud CompressedCloud::encode(const GaussianCloud& cloud) {

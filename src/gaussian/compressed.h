@@ -12,28 +12,17 @@
 // Exactness contract: decode is the exact fp16 -> fp32 widening, so
 //   decode(encode(cloud)) == quantize_cloud_to_fp16(cloud)   (value-wise)
 // and rendering the streamed decode is bit-identical to rendering the
-// up-front decode — ResidencyMode::kVerify asserts exactly that.
+// up-front decode (tests/core/test_residency.cpp compares the splat
+// streams byte for byte on every bench scene).
 #pragma once
 
 #include <cstddef>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/half.h"
 #include "gaussian/cloud.h"
 
 namespace gstg {
-
-/// Typed error for a compressed-residency audit failure: a streamed-decode
-/// render that is not bit-identical to the up-front-decode render under
-/// ResidencyMode::kVerify. Derives from std::runtime_error so generic catch
-/// sites keep working while the service can map it to a typed response.
-class ResidencyError : public std::runtime_error {
- public:
-  explicit ResidencyError(const std::string& message)
-      : std::runtime_error("residency: " + message) {}
-};
 
 /// fp16 structure-of-arrays resident form of a GaussianCloud. Encoding
 /// rounds every parameter through binary16 (round-to-nearest-even; NaN/Inf
@@ -62,7 +51,7 @@ class CompressedCloud {
   /// this cloud's SH degree if it differs. Requires lo <= hi <= size().
   void decode_range(std::size_t lo, std::size_t hi, GaussianCloud& out) const;
 
-  /// Decodes the whole cloud (the up-front form kFloat32/kVerify render).
+  /// Decodes the whole cloud (the float32 reference form).
   [[nodiscard]] GaussianCloud decode() const;
 
   /// Resident payload bytes of this form: 2 bytes per stored scalar.

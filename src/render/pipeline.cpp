@@ -4,15 +4,17 @@
 #include "render/binning.h"
 #include "render/preprocess.h"
 #include "render/rasterize.h"
+#include "render/simd_kernels.h"
 #include "render/sort.h"
 
 namespace gstg {
 
 RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
                              const RenderConfig& requested) {
-  // One GSTG_THREADS read per call, not one per stage.
+  // One GSTG_THREADS and one GSTG_SIMD read per call, not one per stage.
   RenderConfig config = requested;
   if (config.threads == 0) config.threads = worker_thread_count();
+  config.simd = resolve_simd_backend(config.simd);
   RenderResult result{Framebuffer(camera.width(), camera.height()), {}, {}};
   Timer timer;
 

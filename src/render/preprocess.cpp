@@ -32,7 +32,7 @@ void preprocess_into(const GaussianCloud& cloud, const Camera& camera,
   // Projection/conic math runs through the SIMD kernel table; backend is
   // resolved once per frame, and exact per-lane arithmetic makes the output
   // independent of the lane width (common/simd.h).
-  const SimdKernels& kernels = simd_kernels(resolve_simd_backend(config.simd.backend));
+  const SimdKernels& kernels = simd_kernels(resolve_simd_backend(config.simd));
   PreprocessChunkArgs args;
   args.cloud = &cloud;
   args.camera = &camera;
@@ -80,7 +80,7 @@ void preprocess_compressed_into(const CompressedCloud& cloud, const Camera& came
     }
   }
 
-  const SimdKernels& kernels = simd_kernels(resolve_simd_backend(config.simd.backend));
+  const SimdKernels& kernels = simd_kernels(resolve_simd_backend(config.simd));
   const Vec3 cam_pos = camera.position();
 
   parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi, std::size_t worker) {

@@ -66,8 +66,8 @@ inline constexpr std::size_t kPreprocessGrain = 4 * kDecodeBlock;
 /// preprocess_into over the compressed resident form: per worker, decodes
 /// kDecodeBlock-Gaussian blocks into `decode` scratch and runs the same
 /// SIMD projection kernels over them. Output (splats, order, counters) is
-/// bit-identical to preprocess_into(cloud.decode(), ...) — the
-/// ResidencyMode::kVerify audit in core/renderer.h asserts this per frame.
+/// bit-identical to preprocess_into(cloud.decode(), ...) (asserted per bench
+/// scene by tests/core/test_residency.cpp).
 GSTG_HOT_NOALLOC
 void preprocess_compressed_into(const CompressedCloud& cloud, const Camera& camera,
                                 const RenderConfig& config, RenderCounters& counters,

@@ -11,7 +11,7 @@ namespace gstg {
 
 TileRasterStats rasterize_tile(std::span<const ProjectedSplat> splats,
                                std::span<const std::uint32_t> order, int x0, int y0, int x1,
-                               int y1, Framebuffer& fb, SimdPolicy simd) {
+                               int y1, Framebuffer& fb, SimdBackend simd) {
   TileRasterScratch scratch;
   return rasterize_tile(splats, order, x0, y0, x1, y1, fb, scratch, simd);
 }
@@ -19,23 +19,23 @@ TileRasterStats rasterize_tile(std::span<const ProjectedSplat> splats,
 TileRasterStats rasterize_tile(std::span<const ProjectedSplat> splats,
                                std::span<const std::uint32_t> order, int x0, int y0, int x1,
                                int y1, Framebuffer& fb, TileRasterScratch& scratch,
-                               SimdPolicy simd) {
+                               SimdBackend simd) {
   if (x0 < 0 || y0 < 0 || x1 > fb.width() || y1 > fb.height() || x1 <= x0 || y1 <= y0) {
     throw std::invalid_argument("rasterize_tile: block out of bounds");
   }
-  const SimdKernels& kernels = simd_kernels(resolve_simd_backend(simd.backend));
+  const SimdKernels& kernels = simd_kernels(resolve_simd_backend(simd));
   return kernels.rasterize_tile(splats, order, x0, y0, x1, y1, fb, scratch);
 }
 
 void rasterize_all(const BinnedSplats& bins, std::span<const ProjectedSplat> splats,
                    Framebuffer& fb, std::size_t threads, RenderCounters& counters,
-                   SimdPolicy simd, RasterScratch* scratch) {
+                   SimdBackend simd, RasterScratch* scratch) {
   const CellGrid& grid = bins.grid;
   const std::size_t cells = static_cast<std::size_t>(grid.cell_count());
 
-  // Resolve once per stage (not per tile): one env read / probe, then a
-  // concrete backend for every worker.
-  const SimdPolicy resolved{resolve_simd_backend(simd.backend)};
+  // Resolve once per stage (not per tile): a kAuto from a one-shot caller
+  // costs one env read here, then every worker gets a concrete backend.
+  const SimdBackend resolved = resolve_simd_backend(simd);
 
   // Per-worker blending buffers sized from the exact worker count; the
   // stats are plain integers, so they merge through atomics.

@@ -4,7 +4,7 @@
 // (per-tile sorted lists) and GS-TG (group-sorted list filtered by bitmask).
 //
 // The inner loop runs through the SIMD kernel table (render/simd_kernels.h):
-// a SimdPolicy selects the lane width (scalar / SSE4.2 / AVX2 / NEON, kAuto =
+// a SimdBackend selects the lane width (scalar / SSE4.2 / AVX2 / NEON, kAuto =
 // widest verified backend). Every backend evaluates alpha = sigma *
 // fast_exp(-q / 2) with the same op sequence (common/simd.h), so images and
 // counters are bit-identical across backends. The footprint guard reads the
@@ -73,7 +73,7 @@ struct TileRasterScratch {
 /// workload quantity.
 TileRasterStats rasterize_tile(std::span<const ProjectedSplat> splats,
                                std::span<const std::uint32_t> order, int x0, int y0, int x1,
-                               int y1, Framebuffer& fb, SimdPolicy simd = {});
+                               int y1, Framebuffer& fb, SimdBackend simd = SimdBackend::kAuto);
 
 /// rasterize_tile() with caller-owned blending buffers (no allocations once
 /// the scratch has warmed up to the tile size).
@@ -81,7 +81,7 @@ GSTG_HOT_NOALLOC
 TileRasterStats rasterize_tile(std::span<const ProjectedSplat> splats,
                                std::span<const std::uint32_t> order, int x0, int y0, int x1,
                                int y1, Framebuffer& fb, TileRasterScratch& scratch,
-                               SimdPolicy simd = {});
+                               SimdBackend simd = SimdBackend::kAuto);
 
 /// Reusable per-worker rasterization buffers, one slot per parallel worker:
 /// the tile kernel's blending scratch plus, for GS-TG's rasterize_grouped
@@ -112,6 +112,6 @@ struct RasterScratch {
 GSTG_HOT_NOALLOC
 void rasterize_all(const BinnedSplats& bins, std::span<const ProjectedSplat> splats,
                    Framebuffer& fb, std::size_t threads, RenderCounters& counters,
-                   SimdPolicy simd = {}, RasterScratch* scratch = nullptr);
+                   SimdBackend simd = SimdBackend::kAuto, RasterScratch* scratch = nullptr);
 
 }  // namespace gstg

@@ -1,7 +1,6 @@
-// Packed-key stable LSD radix sorting, shared by every sorting path:
-// the baseline per-tile sort (render/sort.h), the GS-TG group sort
-// (core/grouping.h), and the GPU-style global duplicated-key sort
-// (render/global_sort.h). Positive IEEE floats order identically to their
+// Packed-key stable LSD radix sorting, shared by both sorting paths:
+// the baseline per-tile sort (render/sort.h) and the GS-TG group sort
+// (core/grouping.h). Positive IEEE floats order identically to their
 // bit patterns, so a (depth_bits, index) 64-bit key sorted ascending
 // reproduces the (depth, original index) comparison order exactly — the
 // radix and comparison paths are interchangeable and tested against each
@@ -62,8 +61,8 @@ inline constexpr std::size_t kRadixSortCutoff = 64;
 }
 
 /// A sort record: 64-bit key plus a 64-bit payload that rides along
-/// (the GS-TG group sort carries the tile bitmask, the global sort the
-/// duplicated splat id).
+/// (the per-tile sort carries the splat id, the GS-TG group sort the tile
+/// bitmask).
 struct KeyValue {
   std::uint64_t key = 0;
   std::uint64_t value = 0;

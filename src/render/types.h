@@ -33,10 +33,11 @@ struct RenderConfig {
   /// Per-tile sort algorithm (kAuto = radix for long lists, comparison for
   /// short ones; every choice produces the identical ordering).
   SortAlgo sort_algo = SortAlgo::kAuto;
-  /// SIMD kernel policy for the preprocess/rasterize hot paths: the backend
-  /// (kAuto = widest verified, overridable via GSTG_SIMD). Images and
-  /// counters are bit-identical whichever backend runs.
-  SimdPolicy simd;
+  /// SIMD kernel backend of the preprocess/rasterize hot paths (kAuto =
+  /// widest verified, overridable via GSTG_SIMD; render_baseline resolves
+  /// it once per call). Images and counters are bit-identical whichever
+  /// backend runs.
+  SimdBackend simd = SimdBackend::kAuto;
   /// Retired (binning has one strategy); kept only because perfbench names it.
   BinningMode binning = BinningMode::kFlat;
   /// Worker threads (0 = auto).

@@ -86,10 +86,6 @@ TEST(EnvErrors, ModeVariablesRejectUnknownSpellingsAndRoundTrip) {
   const ModeVariable variables[] = {
       {"GSTG_TEMPORAL", {"off", "reuse", "verify"},
        [] { return std::string(to_string(temporal_mode_from_env(TemporalMode::kOff))); }},
-      {"GSTG_RESIDENCY", {"float32", "compressed", "verify"},
-       [] {
-         return std::string(to_string(residency_mode_from_env(ResidencyMode::kCompressed)));
-       }},
       {"GSTG_SIMD", {"auto", "scalar", "sse4", "avx2", "neon"},
        [] { return std::string(to_string(simd_backend_from_env())); }},
       {"GSTG_SCALE", {"bench", "small", "full"},

@@ -141,8 +141,8 @@ const SweepScene kSweep[] = {
     {"random_edge", 250, 187, 900, 97},  // non-multiple image sizes
 };
 
-/// Renders the GS-TG pipeline under one SIMD policy.
-RenderResult render_with(const SweepScene& sc, SimdPolicy simd) {
+/// Renders the GS-TG pipeline under one SIMD backend.
+RenderResult render_with(const SweepScene& sc, SimdBackend simd) {
   const Camera cam = make_camera(sc.width, sc.height);
   const GaussianCloud cloud = testutil::make_random_cloud(sc.gaussians, sc.seed);
   GsTgConfig config;
@@ -152,9 +152,9 @@ RenderResult render_with(const SweepScene& sc, SimdPolicy simd) {
 
 TEST(SimdBackendConsistency, ExactModeIsBitIdenticalAcrossBackends) {
   for (const SweepScene& sc : kSweep) {
-    const RenderResult ref = render_with(sc, {SimdBackend::kScalar});
+    const RenderResult ref = render_with(sc, SimdBackend::kScalar);
     for (const SimdBackend b : available_simd_backends()) {
-      const RenderResult got = render_with(sc, {b});
+      const RenderResult got = render_with(sc, b);
       // Bitwise framebuffer equality, not just value equality.
       ASSERT_EQ(ref.image.pixels().size(), got.image.pixels().size());
       EXPECT_EQ(std::memcmp(ref.image.pixels().data(), got.image.pixels().data(),
@@ -177,11 +177,11 @@ TEST(SimdBackendConsistency, ExactModeMatchesBaselinePipelineToo) {
   const Camera cam = make_camera(240, 176);
   const GaussianCloud cloud = testutil::make_random_cloud(1000, 17);
   RenderConfig scalar_cfg;
-  scalar_cfg.simd = {SimdBackend::kScalar};
+  scalar_cfg.simd = SimdBackend::kScalar;
   const RenderResult ref = render_baseline(cloud, cam, scalar_cfg);
   for (const SimdBackend b : available_simd_backends()) {
     RenderConfig cfg;
-    cfg.simd = {b};
+    cfg.simd = b;
     const RenderResult got = render_baseline(cloud, cam, cfg);
     EXPECT_EQ(max_abs_diff(ref.image, got.image), 0.0f) << to_string(b);
     EXPECT_EQ(ref.counters.alpha_computations, got.counters.alpha_computations);
@@ -233,7 +233,7 @@ TEST(SimdBackendConsistency, FastExpDivergenceFromLibmOracleIsBounded) {
     const Camera cam = make_camera(sc.width, sc.height);
     const GaussianCloud cloud = testutil::make_random_cloud(sc.gaussians, sc.seed);
     RenderConfig config;
-    config.simd = {SimdBackend::kScalar};
+    config.simd = SimdBackend::kScalar;
     RenderCounters counters;
     const std::vector<ProjectedSplat> splats = preprocess(cloud, cam, config, counters);
     const CellGrid grid = CellGrid::over_image(sc.width, sc.height, config.tile_size);
@@ -295,10 +295,10 @@ TEST(SimdBackendConsistency, GstgStaysLosslessUnderEveryBackend) {
   const GaussianCloud cloud = testutil::make_random_cloud(800, 23);
   for (const SimdBackend b : available_simd_backends()) {
     RenderConfig base;
-    base.simd = {b};
+    base.simd = b;
     const RenderResult ref = render_baseline(cloud, cam, base);
     GsTgConfig config;
-    config.simd = {b};
+    config.simd = b;
     const RenderResult ours = render_gstg(cloud, cam, config);
     EXPECT_EQ(max_abs_diff(ref.image, ours.image), 0.0f) << to_string(b);
   }
@@ -316,7 +316,7 @@ TEST(SimdBackendConsistency, PreprocessMatchesScalarReferenceFunctions) {
 
   for (const SimdBackend b : available_simd_backends()) {
     RenderConfig config;
-    config.simd = {b};
+    config.simd = b;
     RenderCounters counters;
     const auto splats = preprocess(cloud, cam, config, counters);
     ASSERT_GT(splats.size(), 50u) << to_string(b);
@@ -353,11 +353,11 @@ TEST(SimdBackendConsistency, SyntheticSceneRecipeBitIdentical) {
   // One real scene recipe (tiny scale) through every backend.
   const Scene scene = generate_scene("train", RunScale{8, 512});
   GsTgConfig scalar_cfg;
-  scalar_cfg.simd = {SimdBackend::kScalar};
+  scalar_cfg.simd = SimdBackend::kScalar;
   const RenderResult ref = render_gstg(scene.cloud, scene.camera, scalar_cfg);
   for (const SimdBackend b : available_simd_backends()) {
     GsTgConfig cfg;
-    cfg.simd = {b};
+    cfg.simd = b;
     const RenderResult got = render_gstg(scene.cloud, scene.camera, cfg);
     EXPECT_EQ(max_abs_diff(ref.image, got.image), 0.0f) << to_string(b);
   }

@@ -405,7 +405,8 @@ TEST(RenderService, ServiceEnvKnobsRejectMalformedValues) {
 TEST(RenderService, MisspelledModeEnvFailsConstructionNotWorkers) {
   // Run-mode overrides are resolved on the caller's thread, so a typo is a
   // typed constructor error rather than a throw inside a worker thread.
-  // GSTG_BINNING is retired: any value is rejected as an unknown variable.
+  // GSTG_BINNING and GSTG_RESIDENCY are retired: any value is rejected as an
+  // unknown variable.
   for (const char* name : {"GSTG_TEMPORAL", "GSTG_BINNING", "GSTG_RESIDENCY", "GSTG_SIMD"}) {
     SCOPED_TRACE(name);
     ASSERT_EQ(setenv(name, "bogus", 1), 0);
@@ -421,16 +422,16 @@ TEST(ConfigResolution, AllConstructorsSeeTheSameOverrides) {
   // the persistent renderer, the temporal renderer and the service agree.
   testutil::EnvGuard threads("GSTG_THREADS");
   testutil::EnvGuard temporal("GSTG_TEMPORAL");
-  testutil::EnvGuard residency("GSTG_RESIDENCY");
   testutil::EnvGuard simd("GSTG_SIMD");
-  testutil::EnvGuard retired("GSTG_BINNING");
+  testutil::EnvGuard retired_binning("GSTG_BINNING");
+  testutil::EnvGuard retired_residency("GSTG_RESIDENCY");
   threads.set("3");
   temporal.set("verify");
-  residency.set("float32");
-  simd.unset();
-  retired.unset();
+  simd.set("scalar");
+  retired_binning.unset();
+  retired_residency.unset();
 
-  GsTgConfig config;  // threads = 0, temporal = kOff, residency = kCompressed
+  GsTgConfig config;  // threads = 0, temporal = kOff, simd = kAuto
   ServiceConfig service;
   service.render = config;
   const GsTgConfig seen[] = {Renderer(config).config(), TemporalRenderer(config).config(),
@@ -438,8 +439,16 @@ TEST(ConfigResolution, AllConstructorsSeeTheSameOverrides) {
   for (const GsTgConfig& c : seen) {
     EXPECT_EQ(c.threads, 3u);
     EXPECT_EQ(c.temporal, TemporalMode::kVerify);
-    EXPECT_EQ(c.residency, ResidencyMode::kFloat32);
+    EXPECT_EQ(c.simd, SimdBackend::kScalar);
   }
+
+  // The backend is chosen once, at construction: a renderer built under
+  // GSTG_SIMD=scalar keeps it after the variable goes away, and a config
+  // resolved without the override names a concrete backend, never kAuto.
+  const Renderer built_under_scalar(config);
+  simd.unset();
+  EXPECT_EQ(built_under_scalar.config().simd, SimdBackend::kScalar);
+  EXPECT_NE(Renderer(config).config().simd, SimdBackend::kAuto);
 
   // A malformed GSTG_SIMD and a retired variable fail all three alike.
   const auto expect_all_reject = [&](const char* name) {
@@ -459,12 +468,15 @@ TEST(ConfigResolution, AllConstructorsSeeTheSameOverrides) {
   simd.set("bogus");
   expect_all_reject("GSTG_SIMD");
   simd.unset();
-  retired.set("flat");
+  retired_binning.set("flat");
   expect_all_reject("GSTG_BINNING");
+  retired_binning.unset();
+  retired_residency.set("float32");
+  expect_all_reject("GSTG_RESIDENCY");
 }
 
 TEST(ConfigResolution, UnknownGstgVariablesAreRejectedByName) {
-  for (const char* name : {"GSTG_BINNING", "GSTG_PIPELINE", "GSTG_THREDS"}) {
+  for (const char* name : {"GSTG_BINNING", "GSTG_RESIDENCY", "GSTG_PIPELINE", "GSTG_THREDS"}) {
     SCOPED_TRACE(name);
     testutil::EnvGuard guard(name);
     guard.set("1");

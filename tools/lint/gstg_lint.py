@@ -25,8 +25,8 @@ input, under the right sanitizer (see docs/ARCHITECTURE.md, "Static analysis
                                `throw std::logic_error` anywhere in src/;
                                client-causable failures throw the layer's
                                typed error (PlyError, DatasetError,
-                               BinningError, ResidencyError, TelemetryError,
-                               SceneError, FramebufferError, ...). Deriving
+                               BinningError, TelemetryError, SceneError,
+                               FramebufferError, ...). Deriving
                                a typed error FROM std::runtime_error is the
                                approved pattern; std::invalid_argument and
                                friends remain legal for precondition errors.
