@@ -10,14 +10,14 @@
 // shared atomic cursor until the range is exhausted. cell_grain() balances
 // loops whose items vary widely in cost (tiles, groups, cells, and the
 // binning passes' splat chunks); grain = 0 selects ceil(n / workers), one
-// contiguous chunk per worker, for cheap uniform-cost passes (the global
-// sort's splat passes, the temporal cache snapshot) where more chunks would
-// only add cursor claims.
+// contiguous chunk per worker, for cheap uniform-cost passes (the temporal
+// cache snapshot) where more chunks would only add cursor claims.
 //
 // Inline fallback: one region owns the pool at a time. A region that starts
-// while another caller owns it — a render_batch view worker, a service
-// thread, or a region nested inside a chunk — runs fn(begin, end, 0) on its
-// own thread instead. It never waits for the pool, so it cannot deadlock.
+// while another caller owns it — a service thread, or a region nested
+// inside a chunk, such as the stages of a frame that render_batch runs as
+// one of its view chunks — runs fn(begin, end, 0) on its own thread
+// instead. It never waits for the pool, so it cannot deadlock.
 //
 // Determinism contract: which worker runs which chunk changes from run to
 // run. Workers write only to disjoint output slots or to per-worker

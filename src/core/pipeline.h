@@ -31,7 +31,10 @@ struct GsTgFrameData {
 };
 
 /// Runs preprocessing through group sorting (no rasterization) and returns
-/// the intermediate data.
+/// the intermediate data: Renderer::prepare + Renderer::sort on a fresh
+/// FrameContext, so `frame.config` is config.resolved() and an invalid
+/// config or GSTG_* variable throws std::invalid_argument as the Renderer
+/// constructor does.
 GsTgFrameData build_gstg_frame(const GaussianCloud& cloud, const Camera& camera,
                                const GsTgConfig& config);
 

@@ -1,25 +1,22 @@
-// Persistent GS-TG renderer: the servable, allocation-free steady-state
-// form of the one-shot pipeline in core/pipeline.h.
+// Persistent GS-TG renderer: the allocation-free steady-state form of the
+// one-shot pipeline in core/pipeline.h, and the only place in src/ that
+// composes a GS-TG frame (paper Fig. 9). A frame is three public steps —
+// prepare (preprocess -> group identification -> bitmask), sort, rasterize —
+// so TemporalRenderer can swap the sort and build_gstg_frame can stop before
+// the raster without composing the frame again.
 //
-// A FrameContext owns every per-frame product and scratch buffer (projected
-// splats, group CSR lists, tile bitmasks, sort keys, blending buffers,
-// framebuffer). Rendering through a reused context produces bit-identical
-// images to independent render_gstg() calls while allocating nothing once
-// the buffers have warmed up to the workload — the execution model a
-// multi-user rendering service needs (persistent device buffers in the GPU
-// rasterizers this mirrors).
-//
-// render_batch() adds view-level parallelism on top of the existing
-// intra-frame threading: a small pool of workers, each with its own
-// FrameContext, drains the camera list. Frames are independent, so the
-// batch output is bit-identical to the sequential loop.
+// A FrameContext owns every per-frame product and scratch buffer. Rendering
+// through a reused context is bit-identical to independent render_gstg()
+// calls and allocates nothing once the buffers have warmed up (persistent
+// device buffers in the GPU rasterizers this mirrors). render_batch() adds
+// view-level parallelism; frames are independent, so its output is
+// bit-identical to the sequential loop.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "camera/camera.h"
-#include "common/timer.h"
 #include "core/grouping.h"
 #include "core/pipeline.h"
 #include "gaussian/cloud.h"
@@ -31,7 +28,8 @@ namespace gstg {
 /// All per-frame state of one GS-TG render, reusable across frames. The
 /// stage products (splats, frame, image, counters, times) are valid after
 /// Renderer::render returns; the scratch members are implementation
-/// buffers.
+/// buffers. `times` holds only the stages' own time: the glue between
+/// stages (grid setup, the caller's bookkeeping) is not charged to any.
 struct FrameContext {
   // Stage products.
   std::vector<ProjectedSplat> splats;
@@ -63,9 +61,10 @@ class Renderer {
 
   [[nodiscard]] const GsTgConfig& config() const { return config_; }
 
-  /// Renders the cloud from `camera` into `ctx`, reusing every buffer the
-  /// context already holds. ctx.image / ctx.times / ctx.counters carry the
-  /// result — identical to render_gstg(cloud, camera, config()).
+  /// Renders the cloud from `camera` into `ctx` (prepare, sort, rasterize),
+  /// reusing every buffer the context already holds. ctx.image / ctx.times
+  /// / ctx.counters carry the result — identical to render_gstg(cloud,
+  /// camera, config()).
   void render(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx) const;
 
   /// Renders from the fp16-resident form: preprocess streams fixed-size
@@ -75,8 +74,24 @@ class Renderer {
   /// — the float32 reference — across threads and SIMD backends.
   void render(const CompressedCloud& cloud, const Camera& camera, FrameContext& ctx) const;
 
+  /// Resets ctx.times and ctx.counters, then runs the stages "preprocess",
+  /// "binning" (group identification, charged to preprocess_ms like the
+  /// paper) and "bitmask".
+  void prepare(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx) const;
+  void prepare(const CompressedCloud& cloud, const Camera& camera, FrameContext& ctx) const;
+
+  /// The group-wise sort of a prepared frame, untimed: the composer's
+  /// StageScope names it ("sort_groups" in render(), "temporal_sort" in
+  /// TemporalRenderer).
+  void sort(FrameContext& ctx) const;
+
+  /// Bitmask-filtered tile raster of a sorted frame into ctx.image (stage
+  /// "raster").
+  void rasterize(FrameContext& ctx) const;
+
  private:
-  void finish_frame(const Camera& camera, FrameContext& ctx, Timer& timer) const;
+  void identify_and_mask(const Camera& camera, FrameContext& ctx) const;
+  void sort_and_rasterize(FrameContext& ctx) const;
 
   GsTgConfig config_;
 };
@@ -84,8 +99,8 @@ class Renderer {
 /// Batch rendering options.
 struct BatchOptions {
   /// Concurrent view workers (0 = min(view count, worker_thread_count())).
-  /// Each worker renders whole frames with the config's intra-frame thread
-  /// setting; prefer view_threads * config.threads <= core count.
+  /// With more than one, the batch owns the pool and each view's stages run
+  /// inline on its worker; with one, views use the config's threads.
   std::size_t view_threads = 0;
 };
 
@@ -99,9 +114,10 @@ struct BatchRenderResult {
   double wall_ms = 0.0;
 };
 
-/// Renders every camera view of `cloud` under one config. Output images are
-/// bit-identical to N independent render_gstg() calls; view workers reuse
-/// one FrameContext each, so steady-state frames allocate only the returned
+/// Renders every camera view of `cloud` under one config, one view per
+/// chunk on the process worker pool (common/parallel.h). Output images are
+/// bit-identical to N independent render_gstg() calls; each worker reuses
+/// one FrameContext, so steady-state frames allocate only the returned
 /// image copies.
 BatchRenderResult render_batch(const GaussianCloud& cloud, std::span<const Camera> cameras,
                                const GsTgConfig& config, const BatchOptions& options = {});

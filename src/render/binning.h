@@ -135,8 +135,8 @@ TileRange candidate_cells(const ProjectedSplat& splat, const CellGrid& grid);
 
 /// Calls visit(cell_index) for every cell the splat's footprint intersects
 /// under `boundary`, enumerating candidates from the AABB range; returns the
-/// number of boundary tests performed. Shared by bin_splats and the global
-/// radix-sort path so both enumerate identical hit sets in identical order.
+/// number of boundary tests performed. bin_splats' count and scatter passes
+/// both call it, so they enumerate identical hit sets in identical order.
 template <typename Visit>
 std::size_t for_each_hit_cell(const ProjectedSplat& splat, const CellGrid& grid,
                               Boundary boundary, Visit&& visit) {

@@ -81,6 +81,8 @@ static_assert(sizeof(ProjectedSplat) == 64, "ProjectedSplat is one 64-byte recor
 /// split: preprocessing = feature computation + culling + tile (or group)
 /// identification; sorting; rasterization. GS-TG adds bitmask generation,
 /// reported separately and attributed per execution model (see core/).
+/// Each field sums the telemetry::StageScope intervals of its stages, so
+/// the glue between stages is in none and total_ms() <= the frame's wall.
 struct StageTimes {
   double preprocess_ms = 0.0;
   double sort_ms = 0.0;

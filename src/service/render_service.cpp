@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/runconfig.h"
-#include "common/timer.h"
 #include "core/pipeline.h"
 #include "dataset/dataset.h"
 #include "gaussian/ply_io.h"
@@ -295,10 +294,10 @@ RenderResponse RenderService::render_one(const RenderRequest& request, const Gau
                                          Session* session, Renderer& stateless,
                                          FrameContext& stateless_ctx) {
   RenderResponse response;
-  Timer timer;
   try {
+    double render_ms = 0.0;
     {
-      GSTG_SPAN("service_render");
+      telemetry::StageScope stage("service_render", render_ms);
       if (session != nullptr) {
         if (session->scene_key != request.scene) {
           // The cross-frame cache is meaningless across scenes: cold-start it.
@@ -315,7 +314,7 @@ RenderResponse RenderService::render_one(const RenderRequest& request, const Gau
         response.counters = stateless_ctx.counters;
       }
     }
-    telemetry::MetricsRegistry::global().record_latency("service.render_ms", timer.lap_ms());
+    telemetry::MetricsRegistry::global().record_latency("service.render_ms", render_ms);
     if (config_.verify) {
       // The kVerify-style service gate: every response must be bit-identical
       // to a sequential one-shot render of the same request.

@@ -116,6 +116,29 @@ class SpanScope {
   std::uint64_t begin_ns_ = 0;
 };
 
+/// RAII stage instrument: reads the clock once at entry and once at exit,
+/// adds the elapsed milliseconds to `ms` (a StageTimes field, or any
+/// latency accumulator) and, when tracing was on at entry, emits the same
+/// interval as a span named `name`. One clock pair feeds both, so a stage's
+/// reported time and its trace span cannot disagree.
+class StageScope {
+ public:
+  StageScope(const char* name, double& ms)
+      : name_(enabled() ? name : nullptr), ms_(ms), begin_ns_(now_ns()) {}
+  ~StageScope() {
+    const std::uint64_t end_ns = now_ns();
+    ms_ += static_cast<double>(end_ns - begin_ns_) * 1e-6;
+    if (name_ != nullptr) emit_span(name_, begin_ns_, end_ns);
+  }
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+ private:
+  const char* name_;  ///< nullptr = tracing was off at entry
+  double& ms_;
+  std::uint64_t begin_ns_;
+};
+
 /// Collector configuration. `ring_capacity` is events per thread,
 /// preallocated when a thread records its first event of the session.
 struct TraceOptions {
@@ -170,9 +193,9 @@ class TraceSession {
 
 /// GSTG_TRACE=<path>: starts the global session on first call and registers
 /// an atexit hook that writes <path> at process exit — any binary becomes
-/// traceable without code changes. Called from the Renderer /
-/// TemporalRenderer / RenderService constructors; idempotent and cheap
-/// (one static). Returns true when GSTG_TRACE is set.
+/// traceable without code changes. Called from the Renderer and
+/// RenderService constructors and from render_baseline; idempotent and
+/// cheap (one static). Returns true when GSTG_TRACE is set.
 bool ensure_started_from_env();
 
 /// Programmatic form of the same switch: ensures the global session is

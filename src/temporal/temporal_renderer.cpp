@@ -44,11 +44,6 @@ void prepare_scratch(TemporalScratch& scratch, std::size_t workers, std::size_t 
 
 }  // namespace
 
-TemporalRenderer::TemporalRenderer(const GsTgConfig& config) : config_(config.resolved()) {
-  telemetry::ensure_started_from_env();
-  if (config_.trace) telemetry::ensure_collecting();
-}
-
 void TemporalRenderer::invalidate() {
   cache_.valid = false;
   last_ = {};
@@ -58,61 +53,29 @@ void TemporalRenderer::invalidate() {
 void TemporalRenderer::render(const GaussianCloud& cloud, const Camera& camera,
                               FrameContext& ctx) {
   GSTG_SPAN("frame");
-  ctx.times = {};
-  ctx.counters = {};
-  Timer timer;
-
-  {
-    // The non-sort stages are exactly the persistent renderer's: same
-    // functions, same scratch reuse, same counters.
-    GSTG_SPAN("preprocess");
-    preprocess_into(cloud, camera, config_.render_config(), ctx.counters, ctx.splats,
-                    ctx.preprocess);
-  }
-  ctx.frame.config = config_;
-  ctx.frame.tile_grid = CellGrid::over_image(camera.width(), camera.height(), config_.tile_size);
-  ctx.frame.group_grid =
-      CellGrid::over_image(camera.width(), camera.height(), config_.group_size);
-  {
-    GSTG_SPAN("binning");
-    bin_splats_into(ctx.splats, ctx.frame.group_grid, config_.group_boundary, config_.threads,
-                    ctx.counters, ctx.frame.group_bins, ctx.binning);
-  }
-  ctx.times.preprocess_ms = timer.lap_ms();
-
-  {
-    GSTG_SPAN("bitmask");
-    generate_bitmasks_into(ctx.splats, ctx.frame.group_bins, ctx.frame.tile_grid, config_,
-                           ctx.counters, ctx.frame.masks);
-  }
-  ctx.times.bitmask_ms = timer.lap_ms();
+  renderer_.prepare(cloud, camera, ctx);
 
   // Group ordering: reuse the cached cross-frame order where provably
   // valid, sort the rest; then snapshot the (now sorted) lists for the next
   // frame.
   last_ = {};
   {
-    GSTG_SPAN("temporal_sort");
-    temporal_sort(ctx.splats, ctx);
+    telemetry::StageScope stage("temporal_sort", ctx.times.sort_ms);
+    temporal_sort(ctx);
   }
-  if (config_.temporal != TemporalMode::kOff) {
-    GSTG_SPAN("snapshot_cache");
+  if (mode() != TemporalMode::kOff) {
+    telemetry::StageScope stage("snapshot_cache", ctx.times.sort_ms);
     snapshot_cache(ctx.frame, ctx.splats, cloud.size());
   }
   last_.frames = 1;
   total_.merge(last_);
-  ctx.times.sort_ms = timer.lap_ms();
 
-  {
-    GSTG_SPAN("raster");
-    ctx.image.resize(camera.width(), camera.height());
-    rasterize_grouped(ctx.frame, ctx.splats, ctx.image, config_.threads, ctx.counters,
-                      &ctx.raster);
-  }
-  ctx.times.raster_ms = timer.lap_ms();
+  renderer_.rasterize(ctx);
 }
 
-void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, FrameContext& ctx) {
+void TemporalRenderer::temporal_sort(FrameContext& ctx) {
+  const GsTgConfig& config = renderer_.config();
+  const std::span<const ProjectedSplat> splats = ctx.splats;
   BinnedSplats& bins = ctx.frame.group_bins;
   std::vector<TileMask>& masks = ctx.frame.masks;
   const CellGrid& grid = ctx.frame.group_grid;
@@ -121,15 +84,14 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
   // the bound on ProjectedSplat::index the stamp/entry maps are sized to.
   const std::size_t cloud_size = ctx.counters.input_gaussians;
 
-  const bool warm = config_.temporal != TemporalMode::kOff && cache_.valid &&
+  const bool warm = mode() != TemporalMode::kOff && cache_.valid &&
                     cache_.cells_x == grid.cells_x && cache_.cells_y == grid.cells_y &&
                     cache_.cloud_size == cloud_size;
 
   if (!warm) {
     // Cold frame (or kOff): the plain per-frame group sort, plus the group
     // census so reuse rates have their denominator from frame 0 on.
-    sort_groups(bins, masks, splats, config_.threads, ctx.counters, config_.sort_algo,
-                &ctx.sort);
+    renderer_.sort(ctx);
     for (std::size_t g = 0; g < groups; ++g) {
       const std::size_t n = bins.offsets[g + 1] - bins.offsets[g];
       if (n == 0) continue;
@@ -149,9 +111,9 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
   for (const ProjectedSplat& splat : splats) max_index = std::max(max_index, splat.index);
   const int key_bits = depth_index_key_bits(max_index);
   const int index_bits = key_bits - 32;
-  const bool verify = config_.temporal == TemporalMode::kVerify;
+  const bool verify = config.temporal == TemporalMode::kVerify;
 
-  const std::size_t workers = planned_worker_count(groups, config_.threads);
+  const std::size_t workers = planned_worker_count(groups, config.threads);
   prepare_scratch(scratch_, workers, groups, bins.max_cell_size(), cloud_size, verify);
 
   parallel_for_chunks(0, groups, [&](std::size_t lo, std::size_t hi, std::size_t worker) {
@@ -221,8 +183,8 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
       }
       if (!order_ok || stayers == 0) {
         sort_group_entries(bins.splat_ids.data() + begin, masks.data() + begin, n, splats,
-                           config_.sort_algo, key_bits, index_bits, ws.sort);
-        scratch_.group_volume[g] = sort_volume(config_.sort_algo, n, key_bits);
+                           config.sort_algo, key_bits, index_bits, ws.sort);
+        scratch_.group_volume[g] = sort_volume(config.sort_algo, n, key_bits);
         ++ws.stats.groups_resorted;
         ws.stats.pairs_sorted += n;
         continue;
@@ -239,10 +201,10 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
         ++j;
       }
       sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
-                         config_.sort_algo, key_bits, index_bits, ws.sort);
+                         config.sort_algo, key_bits, index_bits, ws.sort);
       // kVerify accounts its full re-sort below instead of the joiner sort,
       // so its volume matches a plain per-frame run exactly.
-      scratch_.group_volume[g] = sort_volume(config_.sort_algo, verify ? n : joiners, key_bits);
+      scratch_.group_volume[g] = sort_volume(config.sort_algo, verify ? n : joiners, key_bits);
 
       if (verify) {
         // Audit snapshot of the unsorted entries, taken before the merge
@@ -283,7 +245,7 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
 
       if (verify) {
         sort_group_entries(ws.verify_ids.data(), ws.verify_masks.data(), n, splats,
-                           config_.sort_algo, key_bits, index_bits, ws.sort);
+                           config.sort_algo, key_bits, index_bits, ws.sort);
         const bool identical = std::equal(ws.verify_ids.begin(), ws.verify_ids.begin() + n,
                                           bins.splat_ids.begin() + begin) &&
                                std::equal(ws.verify_masks.begin(), ws.verify_masks.begin() + n,
@@ -304,7 +266,7 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
       ws.stats.pairs_reused += stayers;
       ws.stats.pairs_sorted += joiners;
     }
-  }, config_.threads, cell_grain(groups, config_.threads));
+  }, config.threads, cell_grain(groups, config.threads));
 
   // The stats are integer counts, so their merge order does not matter;
   // the volume is reduced in group order, independent of the schedule.
@@ -326,7 +288,7 @@ void TemporalRenderer::snapshot_cache(const GroupedFrame& frame,
     for (std::size_t e = lo; e < hi; ++e) {
       cache_.sorted_cloud_ids[e] = splats[bins.splat_ids[e]].index;
     }
-  }, config_.threads);
+  }, config().threads);
   cache_.cells_x = frame.group_grid.cells_x;
   cache_.cells_y = frame.group_grid.cells_y;
   cache_.cloud_size = cloud_size;
@@ -355,7 +317,7 @@ TemporalSequenceResult render_sequence(const GaussianCloud& cloud,
     result.frame_stats[f] = renderer.last_frame();
     result.total_counters.merge(ctx.counters);
   }
-  result.wall_ms = timer.lap_ms();
+  result.wall_ms = timer.elapsed_ms();
   result.total_stats = renderer.total();
   return result;
 }

@@ -1,8 +1,9 @@
 // Temporal renderer: the frame-sequence serving layer. Consecutive cameras
 // of a flythrough produce nearly identical per-group depth orders, so most
 // of the per-frame group sorting GS-TG already reduced is *still* redundant
-// across frames. TemporalRenderer wraps the persistent renderer's frame
-// stages with a cross-frame group-sort cache:
+// across frames. TemporalRenderer is a Renderer (core/renderer.h) with one
+// step replaced: it runs the Renderer's prepare and rasterize steps as they
+// are, and swaps the group sort for a cross-frame cached sort:
 //
 //   per group, keep the previous frame's sorted order as original cloud
 //   indices; on the new frame, split the group's entries into *stayers*
@@ -21,7 +22,8 @@
 //
 // TemporalMode::kVerify audits that argument at runtime: every reused order
 // is re-sorted and compared bit-for-bit (mismatches are counted and the
-// sorted result wins). kOff degenerates to Renderer::render.
+// sorted result wins). kOff degenerates to Renderer::render, with the sort
+// stage traced as "temporal_sort" instead of "sort_groups".
 #pragma once
 
 #include <cstdint>
@@ -82,14 +84,15 @@ struct TemporalScratch {
 /// therefore matches render_gstg's counters bit-for-bit).
 class TemporalRenderer {
  public:
-  /// Captures config.resolved() (core/gstg_config.h): the environment
-  /// overrides — GSTG_TEMPORAL winning over config.temporal, GSTG_THREADS
-  /// for threads == 0 — are applied once here, and a malformed or unknown
-  /// override throws std::invalid_argument.
-  explicit TemporalRenderer(const GsTgConfig& config);
+  /// Builds the inner Renderer, which captures config.resolved()
+  /// (core/gstg_config.h): the environment overrides — GSTG_TEMPORAL winning
+  /// over config.temporal, GSTG_THREADS for threads == 0 — are applied once
+  /// there, and a malformed or unknown override throws
+  /// std::invalid_argument.
+  explicit TemporalRenderer(const GsTgConfig& config) : renderer_(config) {}
 
-  [[nodiscard]] const GsTgConfig& config() const { return config_; }
-  [[nodiscard]] TemporalMode mode() const { return config_.temporal; }
+  [[nodiscard]] const GsTgConfig& config() const { return renderer_.config(); }
+  [[nodiscard]] TemporalMode mode() const { return config().temporal; }
 
   /// Renders one frame into `ctx` (same contract as Renderer::render) and
   /// updates the cache, last_frame() and total() statistics.
@@ -105,11 +108,11 @@ class TemporalRenderer {
   void invalidate();
 
  private:
-  void temporal_sort(std::span<const ProjectedSplat> splats, FrameContext& ctx);
+  void temporal_sort(FrameContext& ctx);
   void snapshot_cache(const GroupedFrame& frame, std::span<const ProjectedSplat> splats,
                       std::size_t cloud_size);
 
-  GsTgConfig config_;
+  Renderer renderer_;
   GroupSortCache cache_;
   TemporalScratch scratch_;
   TemporalStats last_;

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
+#include "../env_guard.h"
 #include "../test_helpers.h"
+#include "core/pipeline.h"
+#include "render/pipeline.h"
 #include "scene/scene.h"
 
 namespace gstg {
@@ -150,6 +154,37 @@ TEST(Workload, SceneLevelShapeHolds) {
   for (const SortUnit& s : b.sorts) bp += s.n;
   EXPECT_LT(static_cast<double>(gp), 0.8 * static_cast<double>(bp));
   EXPECT_GT(gp, 0u);
+}
+
+TEST(ConfigResolution, OneShotPathsRejectUnknownGstgVariables) {
+  // The one-shot entry points see the environment the way the Renderer
+  // constructor does: a misspelled GSTG_* variable is a typed error, never
+  // silently ignored.
+  const Camera cam = make_camera(64, 48);
+  const GaussianCloud cloud = testutil::make_random_cloud(40, 9);
+  testutil::EnvGuard typo("GSTG_THRAEDS");
+  typo.set("2");
+  const auto expect_names_typo = [](const char* path, const auto& call) {
+    SCOPED_TRACE(path);
+    try {
+      call();
+      ADD_FAILURE() << "should reject GSTG_THRAEDS";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("GSTG_THRAEDS"), std::string::npos) << e.what();
+    }
+  };
+  expect_names_typo("build_gstg_frame", [&] { (void)build_gstg_frame(cloud, cam, GsTgConfig{}); });
+  expect_names_typo("build_gstg_workload",
+                    [&] { (void)build_gstg_workload(cloud, cam, GsTgConfig{}); });
+  expect_names_typo("render_baseline",
+                    [&] { (void)render_baseline(cloud, cam, RenderConfig{}); });
+
+  // build_gstg_frame goes through resolved(): its frame carries concrete
+  // modes, not the caller's auto values.
+  typo.unset();
+  const GsTgFrameData data = build_gstg_frame(cloud, cam, GsTgConfig{});
+  EXPECT_NE(data.frame.config.threads, 0u);
+  EXPECT_NE(data.frame.config.simd, SimdBackend::kAuto);
 }
 
 }  // namespace
